@@ -4,9 +4,14 @@
 Runs the Graph500-style workload (Kronecker graph, sampled valid roots,
 default engine: SlimSell C=16, sel-max, SlimWork) once per batch width
 B ∈ {1, 4, 16, 64}, over the *same* prebuilt representation, and reports
-total kernel wall clock, speedup over the sequential B=1 sweep, and
-harmonic-mean TEPS.  Every batched run is checked bit-identical (distances
-and parents) to the sequential baseline before its timing is trusted.
+total kernel wall clock, speedup over the sequential B=1 sweep,
+harmonic-mean TEPS, and ``kernel_over_probe``: kernel seconds over the
+seconds of a fixed, seeded gather + ⊕ microkernel timed in the same
+process.  The speedups are quotients of kernel times, so they cannot see a
+change that speeds every width up alike and read a faster B=1 as a loss;
+the probe quotient sees absolute kernel speed while the host's speed still
+divides out.  Every batched run is checked bit-identical (distances and
+parents) to the sequential baseline before its timing is trusted.
 
 Standalone script (not a pytest bench): results go to an ASCII table on
 stdout and a JSON file (default ``BENCH_msbfs.json`` in the current
@@ -39,6 +44,26 @@ from repro.graphs.kronecker import kronecker
 QUICK = {"scale": 10, "edgefactor": 16, "nroots": 16, "batches": [1, 4, 16]}
 
 
+def probe_seconds(reps: int = 31) -> float:
+    """Median seconds of a fixed, seeded gather + ⊕ microkernel.
+
+    One sel-max layer step (gather, ⊗ = multiply, ⊕ = max) over 2**16
+    slots reading a 2**12-vertex frontier: operands come from a fixed seed,
+    so the time moves only with the host.
+    """
+    rng = np.random.default_rng(20170529)
+    f = rng.random(1 << 12)
+    val = rng.random(1 << 16)
+    col = rng.integers(0, f.size, val.size)
+    acc = rng.random(val.size)
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        np.maximum(acc, np.multiply(val, f[col]))
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
 def run_sweep(scale: int, edgefactor: float, nroots: int,
               batches: list[int], seed: int = 1) -> dict:
     graph = kronecker(scale, edgefactor, seed=seed)
@@ -51,6 +76,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
     # Warm the memoized operands (col64, per-semiring val) so every batch
     # width measures steady-state kernel time, not one-time materialization.
     BFSSpMV(rep, "sel-max", slimwork=True).run(int(roots[0]))
+    probe_s = probe_seconds()
 
     baseline = None
     rows = []
@@ -75,6 +101,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
             "B": B,
             "kernel_s": kernel_s,
             "speedup_vs_B1": base_s / kernel_s,
+            "kernel_over_probe": kernel_s / probe_s,
             "hmean_teps": float(teps.size / np.sum(1.0 / teps)),
             "identical_to_B1": bool(identical),
         })
@@ -84,6 +111,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
             "n": graph.n, "m": graph.m, "nroots": int(roots.size),
             "seed": seed, "C": 16, "semiring": "sel-max", "slimwork": True,
             "representation": "slimsell", "build_s": build_s,
+            "probe_s": probe_s,
         },
         "batches": rows,
     }
@@ -94,12 +122,14 @@ def print_report(payload: dict) -> None:
     print(f"\n=== Batched MS-BFS ablation (scale={w['scale']}, "
           f"edgefactor={w['edgefactor']}, n={w['n']}, m={w['m']}, "
           f"{w['nroots']} roots) ===")
-    hdr = f"{'B':>4s}  {'kernel s':>10s}  {'speedup':>8s}  {'hmean TEPS':>11s}  identical"
+    hdr = (f"{'B':>4s}  {'kernel s':>10s}  {'speedup':>8s}  "
+           f"{'/probe':>8s}  {'hmean TEPS':>11s}  identical")
     print(hdr)
     print("-" * len(hdr))
     for r in payload["batches"]:
         print(f"{r['B']:4d}  {r['kernel_s']:10.3f}  {r['speedup_vs_B1']:7.2f}x "
-              f" {r['hmean_teps']:11.3e}  {r['identical_to_B1']}")
+              f" {r['kernel_over_probe']:8.1f}  {r['hmean_teps']:11.3e}  "
+              f"{r['identical_to_B1']}")
 
 
 def main(argv: list[str] | None = None) -> int:

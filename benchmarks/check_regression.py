@@ -11,7 +11,10 @@ What is compared is deliberately machine-portable:
 
 * ``bench_msbfs_batch`` / ``bench_mshybrid`` — batching/direction speedup
   *ratios* (kernel-time quotients measured in the same process, so the
-  host's absolute speed divides out);
+  host's absolute speed divides out), plus each msbfs width's
+  ``kernel_over_probe``: kernel seconds over a fixed gather + ⊕
+  microkernel timed in the same process, which sees absolute kernel speed
+  that the ratios divide out;
 * ``bench_dist_batch`` — the distributed model's ``modeled_total_s`` and
   ``comm_bytes_per_rank`` series, which are deterministic functions of the
   code (chunk activity × analytic cost model), i.e. exact change detectors;
@@ -45,6 +48,8 @@ Usage::
     python benchmarks/check_regression.py --list            # gate names
     python benchmarks/check_regression.py --tolerance 0.4   # looser gate
     python benchmarks/check_regression.py --update-baselines
+    python benchmarks/check_regression.py --update-baselines \
+        --only msbfs:B=1.kernel_over_probe   # re-stamp one point only
     python benchmarks/check_regression.py --inject 2.0      # self-test: a
         # simulated 2x slowdown of every timing metric must trip the gate
 """
@@ -82,11 +87,17 @@ def _run_msbfs_quick() -> dict:
 
 
 def _extract_msbfs(payload: dict) -> list[Point]:
-    return [
+    points = [
         Point(f"B={r['B']}.speedup_vs_B1", r["speedup_vs_B1"], "higher", True)
         for r in payload["batches"]
         if r["B"] != 1
     ]
+    points.extend(
+        Point(f"B={r['B']}.kernel_over_probe", r["kernel_over_probe"], "lower", True)
+        for r in payload["batches"]
+        if "kernel_over_probe" in r
+    )
+    return points
 
 
 def _run_mshybrid_quick() -> dict:
@@ -544,16 +555,30 @@ def _best_points(run, extract, repeats: int) -> dict[str, Point]:
     return best
 
 
-def _selected(only: list[str] | None) -> dict:
-    """The benches to run: all of them, or the ``--only`` subset."""
+def _selected(only: list[str] | None) -> dict[str, set[str] | None]:
+    """``--only`` entries as ``{bench: point names}``; ``None`` = all points.
+
+    An entry is a bench name or ``bench:point`` (one gated point of it).
+    No entries select every bench.
+    """
     if not only:
-        return BENCHES
-    return {name: BENCHES[name] for name in only}
+        return dict.fromkeys(BENCHES)
+    sel: dict[str, set[str] | None] = {}
+    for item in only:
+        name, _, point = item.partition(":")
+        if name not in BENCHES:
+            raise SystemExit(f"unknown bench {name!r} (see --list)")
+        if not point:
+            sel[name] = None
+        elif sel.get(name, ()) is not None:
+            sel.setdefault(name, set()).add(point)
+    return sel
 
 
 def update_baselines(baseline_dir: Path, repeats: int,
                      only: list[str] | None = None) -> int:
-    for name, (fname, run, extract, deterministic) in _selected(only).items():
+    for name, points in _selected(only).items():
+        fname, run, extract, deterministic = BENCHES[name]
         path = baseline_dir / fname
         if not path.exists():
             print(f"SKIP {name}: no committed {fname} to stamp", flush=True)
@@ -568,9 +593,24 @@ def update_baselines(baseline_dir: Path, repeats: int,
             for p in _best_points(run, extract, reps - 1).values():
                 if _improves(p, best[p.name]):
                     best[p.name] = p
-        fresh["gated_points"] = {p.name: p.value for p in best.values()}
         payload = _load_baseline(path)
-        payload["quick_baseline"] = fresh
+        if points is None:
+            fresh["gated_points"] = {p.name: p.value for p in best.values()}
+            payload["quick_baseline"] = fresh
+        else:
+            # Point re-stamp: only the named gated values move; the rest
+            # of the committed baseline stays as it was.
+            unknown = points - set(best)
+            if unknown or "quick_baseline" not in payload:
+                raise SystemExit(
+                    f"cannot re-stamp {name}:{sorted(unknown or points)}: "
+                    "unknown point or no committed quick_baseline"
+                )
+            gated = payload["quick_baseline"].setdefault("gated_points", {})
+            for pname in sorted(points):
+                old = gated.get(pname)
+                print(f"  {name}:{pname}  {old} -> {best[pname].value:.4g}")
+                gated[pname] = best[pname].value
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"stamped quick_baseline into {path}")
     return 0
@@ -580,7 +620,8 @@ def check(baseline_dir: Path, tolerance: float, inject: float, repeats: int,
           only: list[str] | None = None) -> int:
     failures = 0
     compared = 0
-    for name, (fname, run, extract, deterministic) in _selected(only).items():
+    for name, points in _selected(only).items():
+        fname, run, extract, deterministic = BENCHES[name]
         path = baseline_dir / fname
         if not path.exists():
             print(f"ERROR {name}: missing baseline {fname}", file=sys.stderr)
@@ -595,14 +636,18 @@ def check(baseline_dir: Path, tolerance: float, inject: float, repeats: int,
             return 2
         base_payload = baseline["quick_baseline"]
         base_points = {p.name: p for p in extract(base_payload)}
-        for pname, pvalue in base_payload.get("gated_points", {}).items():
-            if pname in base_points:
-                base_points[pname] = replace(base_points[pname], value=pvalue)
+        gated = base_payload.get("gated_points", {})
         print(f"re-running quick sweep: {name} ...", flush=True)
         reps = 1 if deterministic else repeats
         fresh_points = _best_points(run, extract, reps).values()
         for p in fresh_points:
+            if points is not None and p.name not in points:
+                continue
+            # The stamped envelope wins over the raw payload value; a point
+            # stamped on its own may have no payload entry at all.
             base = base_points.get(p.name)
+            if p.name in gated:
+                base = replace(p, value=gated[p.name])
             if base is None:
                 print(f"  NEW   {name}:{p.name} = {p.value:.4g} (no baseline)")
                 continue
@@ -667,8 +712,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--only",
         action="append",
-        choices=sorted(BENCHES),
-        help="restrict to one bench (repeatable); default: all",
+        metavar="BENCH[:POINT]",
+        help="restrict to one bench, or to one gated point of it "
+        "(repeatable); default: all",
     )
     ap.add_argument(
         "--list",

@@ -185,6 +185,27 @@ class TestOnlySelection:
         assert "quick_baseline" not in json.loads(
             (tmp_path / "BENCH_b.json").read_text())
 
+    def test_only_point_restamps_that_point(self, gate, tmp_path):
+        # bench:point moves one gated value and keeps the committed payload
+        # and every other point; the gate then holds fresh runs to it.
+        run, extract = make_bench(gate, {"speedup": 2.0, "bytes": 500})
+        gate.BENCHES = {"stub": ("BENCH_stub.json", run, extract, False)}
+        path = write_baseline(tmp_path, {"speedup": 4.0, "bytes": 1000},
+                              gated={"speedup": 4.0, "bytes": 1000})
+        assert gate.check(tmp_path, 0.25, 1.0, repeats=1) == 1
+        assert gate.update_baselines(tmp_path, repeats=1,
+                                     only=["stub:speedup"]) == 0
+        doc = json.loads(path.read_text())["quick_baseline"]
+        assert doc["gated_points"] == {"speedup": 2.0, "bytes": 1000}
+        assert doc["speedup"] == 4.0
+        assert gate.check(tmp_path, 0.25, 1.0, repeats=1) == 0
+        assert gate.check(tmp_path, 0.25, 1.0, repeats=1,
+                          only=["stub:bytes"]) == 0
+        with pytest.raises(SystemExit):
+            gate.update_baselines(tmp_path, repeats=1, only=["stub:typo"])
+        with pytest.raises(SystemExit):
+            gate.check(tmp_path, 0.25, 1.0, repeats=1, only=["nope"])
+
 
 class TestBestPoints:
     def test_envelope_takes_best_per_direction(self, gate):
