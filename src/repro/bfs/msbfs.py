@@ -55,6 +55,7 @@ __all__ = [
     "batched_levels",
     "bfs_msbfs",
     "build_rep",
+    "chunk_mask",
     "compact_columns",
     "finalize_batch",
     "run_in_batches",
@@ -132,18 +133,48 @@ def run_in_batches(engine, roots, batch: int | None) -> list[BFSResult]:
 
 
 # ----------------------------------------------------------------------
-# Shared sweep machinery: the batched engines (this module's all-pull
-# SpMM engine, the single-source hybrid in :mod:`repro.bfs.hybrid`, and
-# the direction-optimizing batch engine in :mod:`repro.bfs.mshybrid`)
-# all drive the same shrinking-prefix column-layer kernel and the same
+# Shared sweep machinery: every engine that sweeps the chunked layout (the
+# single-source layer engine, this module's all-pull SpMM engine, the
+# direction-optimizing batch engine in :mod:`repro.bfs.mshybrid`, the
+# executed shards of :mod:`repro.exec`, the ``SlimSpMV`` operator and the
+# weighted SSSP sweep) drives the same column-layer kernel and the same
 # per-column state bookkeeping, so those pieces live here as functions.
 # ----------------------------------------------------------------------
+
+#: The head of a sweep runs one vectorized step per column layer while at
+#: least this many chunks are live; the chunks still live past that depth
+#: (σ-sorted hub chunks) are finished by the tail.
+TAIL_LIVE = 8
+#: Elements per tail block (0.5 MB of float64): bounds the temporaries of
+#: a tail fold at any batch width.
+TAIL_BLOCK = 1 << 16
+
+
+def chunk_mask(settled: np.ndarray, C: int) -> np.ndarray:
+    """SlimWork chunk activity: a chunk is active unless every lane settled.
+
+    Shape-polymorphic like the state it reads: settled lanes ``(N,)`` give
+    ``(nc,)``, a batch's ``(N, W)`` gives one column per source ``(nc, W)``.
+    """
+    return ~settled.reshape((-1, C) + settled.shape[1:]).all(axis=1)
+
+
+def _fold(add: np.ufunc, blk: np.ndarray) -> np.ndarray:
+    """⊕ over ``blk``'s rows strictly first to last, elementwise."""
+    if blk[0].size > 1:
+        # Reducing a leading axis walks its rows in order.
+        return add.reduce(blk, axis=0)
+    # One element per row would make the reduced axis the innermost one,
+    # which NumPy sums pairwise; accumulate is sequential by definition.
+    return add.accumulate(blk, axis=0)[-1]
+
+
 def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
                       val: np.ndarray, cs: np.ndarray, cl: np.ndarray,
                       f_prev: np.ndarray, x_nd: np.ndarray, act: np.ndarray,
                       act_out: np.ndarray | None = None,
                       profile: list | None = None) -> None:
-    """Shrinking-prefix layer sweep over ``act``, into an ``x_nd`` view.
+    """Column-layer sweep over the chunks ``act``, into an ``x_nd`` view.
 
     The sharded core of :func:`spmm_layer_sweep`: ``x_nd`` is a chunk-major
     accumulator view of shape ``(nb, C)`` or ``(nb, C, W)`` covering ``nb``
@@ -155,35 +186,65 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     value, which is exactly why the executed backend has to exchange union
     frontiers between sharded sweeps.
 
-    Each chunk's rows accumulate only their own layer contributions, in
-    ascending layer order, reading nothing but the fixed ``f_prev`` — so
-    partitioning ``act`` across bands and sweeping each band separately is
-    bit-identical to one global sweep, for any partition.
+    Chunks are sorted by descending length, so the live chunks of each
+    column layer are a shrinking prefix.  The **head** sweeps one layer
+    of every live chunk per vectorized step while at least
+    :data:`TAIL_LIVE` chunks are live.  σ-sorting puts a power-law graph's
+    hubs in a few chunks far longer than the rest, so past that depth only
+    a handful remain; the **tail** finishes each of them from its
+    contiguous column-major slots, in blocks of at most
+    :data:`TAIL_BLOCK` elements, folding a carry-first stacked block with
+    one ⊕ reduction over its leading axis.
+
+    Each chunk's rows accumulate only their own layer contributions,
+    strictly in ascending layer order in both phases (so even the real
+    semiring's float ``add`` rounds exactly as a per-layer loop would),
+    reading nothing but the fixed ``f_prev`` — so partitioning ``act``
+    across bands and sweeping each band separately is bit-identical to one
+    global sweep, for any partition.
 
     ``profile`` (optional) is the per-layer profiling hook: when a list is
     passed, one ``(j, live_n)`` pair is appended per column layer swept —
-    layer index and the number of chunks still live at that depth — the
-    shape the tracing engines attach to their layer spans.
+    layer index and the number of chunks still live at that depth, tail
+    layers included — the shape the tracing engines attach to their layer
+    spans.
     """
     if act.size == 0:
         return
-    lane_off = np.arange(C, dtype=np.int64)
     order = np.argsort(-cl[act], kind="stable")
     srt = act[order]
     out = srt if act_out is None else act_out[order]
     scl = cl[srt]
-    max_l = int(scl[0]) if scl.size else 0
-    for j in range(max_l):
-        live_n = int(np.searchsorted(-scl, -j, side="left"))
-        if live_n == 0:
-            break
-        if profile is not None:
-            profile.append((j, live_n))
-        live = srt[:live_n]
-        idx = (cs[live] + j * C)[:, None] + lane_off  # (L, C)
-        vals = val[idx][..., None] if x_nd.ndim == 3 else val[idx]
+    base = cs[srt]
+    max_l = int(scl[0])
+    live = np.searchsorted(-scl, -np.arange(max_l), side="left")
+    if profile is not None:
+        profile.extend(zip(range(max_l), live.tolist()))
+    wide = x_nd.ndim == 3
+    head = int(scl[TAIL_LIVE - 1]) if scl.size >= TAIL_LIVE else 0
+    lane_off = np.arange(C, dtype=np.int64)
+    for j, live_n in enumerate(live[:head].tolist()):
+        idx = (base[:live_n] + j * C)[:, None] + lane_off  # (L, C)
+        vals = val[idx][..., None] if wide else val[idx]
         contrib = sr.mul(vals, f_prev[col[idx]])
-        x_nd[out[:live_n]] = sr.add(x_nd[out[:live_n]], contrib)
+        rows = out[:live_n]
+        x_nd[rows] = sr.add(x_nd[rows], contrib)
+    lanes = x_nd[0].size  # C·W elements per layer of one chunk
+    step = max(1, TAIL_BLOCK // lanes - 1)  # layers per tail block
+    for t in range(int(live[head]) if head < max_l else 0):
+        carry = x_nd[out[t]]
+        end = int(scl[t])
+        for j0 in range(head, end, step):
+            j1 = min(j0 + step, end)
+            s0 = int(base[t]) + j0 * C
+            s1 = s0 + (j1 - j0) * C
+            blk = np.empty((j1 - j0 + 1,) + x_nd.shape[1:], dtype=x_nd.dtype)
+            blk[0] = carry
+            v = val[s0:s1].reshape(j1 - j0, C)
+            g = f_prev[col[s0:s1]].reshape(blk[1:].shape)
+            sr.mul(v[..., None] if wide else v, g, out=blk[1:])
+            carry = _fold(sr.add, blk)
+        x_nd[out[t]] = carry
 
 
 def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
@@ -365,8 +426,7 @@ class MultiSourceBFS:
                     "bfs.layer", t=t0, parent=self.trace_parent,
                     k=k, width=width)
             if self.slimwork:
-                settled = sr.settled_lanes(st)                  # (N, width)
-                src_active = ~settled.reshape(nc, C, width).all(axis=1)
+                src_active = chunk_mask(sr.settled_lanes(st), C)  # (nc, width)
                 active = src_active.any(axis=1)  # union over live sources
             else:
                 src_active = None

@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.bfs.msbfs import (
     build_rep,
+    chunk_mask,
     compact_columns,
     finalize_batch,
     run_in_batches,
@@ -242,7 +243,7 @@ class MultiSourceHybridBFS:
             settled = sr.settled_lanes(st)                 # (N, width)
             if not all_pull:
                 settled = settled[:, pc]                   # (N, P)
-            src_active = ~settled.reshape(nc, C, pc.size).all(axis=1)
+            src_active = chunk_mask(settled, C)            # (nc, P)
             act = np.flatnonzero(src_active.any(axis=1))   # union sweep
             proc = src_active.sum(axis=0)
             layers = rep.cl @ src_active

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bfs.msbfs import sweep_band_layers
 from repro.formats.sell import SellCSigma
 from repro.semirings.base import SemiringBFS, get_semiring
 
@@ -36,11 +37,7 @@ class SlimSpMV:
                          if isinstance(semiring, str) else semiring)
         self._col = rep.col64  # memoized on the representation
         self._val = rep.val_for(self.semiring)
-        self._lane_off = np.arange(rep.C, dtype=np.int64)
-        # Precompute the shrinking-prefix order of chunks by length.
-        order = np.argsort(-rep.cl, kind="stable")
-        self._sorted_chunks = order
-        self._sorted_cl = rep.cl[order]
+        self._chunks = np.arange(rep.nc)
 
     @property
     def n(self) -> int:
@@ -59,10 +56,10 @@ class SlimSpMV:
         """Batched product ``Y = A ⊗ X`` over an ``(n, B)`` column block.
 
         The SpMM core shared with :meth:`__call__` (a B=1 column block):
-        one fancy-index gather and one semiring ``mul``/``add`` per column
-        layer move all ``B`` columns at once, so the ``col``/``val``
-        streams are read once per layer regardless of B.  Column ``b`` of
-        the result is bit-identical to ``self(X[:, b])``.
+        the column-layer kernel :func:`~repro.bfs.msbfs.sweep_band_layers`
+        over every chunk, into a zero accumulator, so the ``col``/``val``
+        streams are read once regardless of B.  Column ``b`` of the result
+        is bit-identical to ``self(X[:, b])``.
         """
         rep, sr = self.rep, self.semiring
         n, N, C = rep.n, rep.N, rep.C
@@ -73,17 +70,8 @@ class SlimSpMV:
         Xp = np.full((N, B), sr.zero)
         Xp[rep.perm] = X
         Y = np.full((N, B), sr.zero)
-        y3 = Y.reshape(rep.nc, C, B)
-        srt, scl = self._sorted_chunks, self._sorted_cl
-        max_l = int(scl[0]) if scl.size else 0
-        for j in range(max_l):
-            live_count = int(np.searchsorted(-scl, -j, side="left"))
-            live = srt[:live_count]
-            if live.size == 0:
-                break
-            idx = (rep.cs[live] + j * C)[:, None] + self._lane_off
-            contrib = sr.mul(self._val[idx][..., None], Xp[self._col[idx]])
-            y3[live] = sr.add(y3[live], contrib)
+        sweep_band_layers(sr, C, self._col, self._val, rep.cs, rep.cl, Xp,
+                          Y.reshape(rep.nc, C, B), self._chunks)
         return Y[rep.perm]
 
     def power_iterate(self, x0: np.ndarray, steps: int) -> np.ndarray:

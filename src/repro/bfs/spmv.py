@@ -198,36 +198,35 @@ class BFSSpMV:
         roots = np.asarray(roots, dtype=np.int64)
         if roots.ndim != 1:
             raise ValueError(f"roots must be 1-D, got shape {roots.shape}")
-        if self.batch is None or self.batch <= 1 or self.engine == "chunk":
+        if (self.batch is None or self.batch <= 1 or self.engine == "chunk"
+                or roots.size == 0):
             return [self.run(int(r)) for r in roots]
-        from repro.bfs.msbfs import MultiSourceBFS
+        from repro.bfs.msbfs import MultiSourceBFS, run_in_batches
 
-        ms = MultiSourceBFS(
+        return run_in_batches(MultiSourceBFS(
             self.rep, self.semiring, slimwork=self.slimwork,
             counting=self.counting, compute_parents=self.compute_parents,
-            max_iters=self.max_iters)
-        out: list = []
-        for i in range(0, roots.size, self.batch):
-            out.extend(ms.run(roots[i:i + self.batch]))
-        return out
+            max_iters=self.max_iters), roots, self.batch)
 
     # ------------------------------------------------------------------
     def _active_chunks(self, st: BFSState) -> np.ndarray:
         """SlimWork chunk mask: process a chunk unless all lanes are settled."""
-        rep = self.rep
+        from repro.bfs.msbfs import chunk_mask
+
         if not self.slimwork:
-            return np.ones(rep.nc, dtype=bool)
-        settled = self.semiring.settled_lanes(st).reshape(rep.nc, rep.C)
-        return ~settled.all(axis=1)
+            return np.ones(self.rep.nc, dtype=bool)
+        return chunk_mask(self.semiring.settled_lanes(st), self.rep.C)
 
     def _run_layer(self, proot: int) -> tuple[BFSState, list[IterationStats]]:
+        from repro.bfs.msbfs import chunk_mask, sweep_band_layers
+
         rep, sr = self.rep, self.semiring
         C, nc, N = rep.C, rep.nc, rep.N
         st = sr.init_state(rep.n, N, proot)
         col = rep.col64  # memoized on the representation across run() calls
         val = rep.val_for(sr)
         cs, cl = rep.cs, rep.cl
-        lane_off = np.arange(C, dtype=np.int64)
+        every = np.arange(nc)
         cap = self.max_iters if self.max_iters is not None else N + 1
         iters: list[IterationStats] = []
         k = 0
@@ -235,27 +234,12 @@ class BFSSpMV:
             k += 1
             st.depth = k
             t0 = time.perf_counter()
-            active = self._active_chunks(st)
-            act = np.flatnonzero(active)
+            act = (np.flatnonzero(chunk_mask(sr.settled_lanes(st), C))
+                   if self.slimwork else every)
             x_raw = st.f.copy()  # carry: skipped chunks keep their old values
-            f_prev = st.f
-            x2d = x_raw.reshape(nc, C)
-            if act.size:
-                # Sort active chunks by descending length: the live set of
-                # each successive column layer is then a shrinking prefix.
-                order = np.argsort(-cl[act], kind="stable")
-                srt = act[order]
-                scl = cl[srt]
-                max_l = int(scl[0]) if scl.size else 0
-                for j in range(max_l):
-                    live_count = int(np.searchsorted(-scl, -j, side="left"))
-                    live = srt[:live_count]
-                    if live.size == 0:
-                        break
-                    idx = (cs[live] + j * C)[:, None] + lane_off
-                    rhs = f_prev[col[idx]]
-                    contrib = sr.mul(val[idx], rhs)
-                    x2d[live] = sr.add(x2d[live], contrib)
+            # Called even when nothing is active: one sweep per iteration.
+            sweep_band_layers(sr, C, col, val, cs, cl, st.f,
+                              x_raw.reshape(nc, C), act)
             newly = sr.postprocess(st, x_raw)
             stats = IterationStats(
                 k=k, newly=newly, time_s=time.perf_counter() - t0,
@@ -390,14 +374,10 @@ def bfs_spmv(
     a :class:`SlimSell` (``slim=True``, the default) or :class:`SellCSigma`
     is built with the given ``C`` and ``sigma`` (σ defaults to n, full sort).
     """
-    if isinstance(graph_or_rep, Graph):
-        from repro.formats.slimsell import SlimSell
+    from repro.bfs.msbfs import build_rep
 
-        rep_cls = SlimSell if slim else SellCSigma
-        rep = rep_cls(graph_or_rep, C, sigma)
-    else:
-        rep = graph_or_rep
     return BFSSpMV(
-        rep, semiring, slimwork=slimwork, slimchunk=slimchunk, engine=engine,
-        counting=counting, compute_parents=compute_parents,
+        build_rep(graph_or_rep, C, sigma, slim), semiring, slimwork=slimwork,
+        slimchunk=slimchunk, engine=engine, counting=counting,
+        compute_parents=compute_parents,
     ).run(root)

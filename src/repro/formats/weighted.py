@@ -96,18 +96,18 @@ def sssp_chunked(rep: WeightedSellCSigma, root: int,
     access pattern, real edge weights in ``val``.  Converges in (weighted
     hop diameter + 1) sweeps.
     """
+    from repro.bfs.msbfs import sweep_band_layers
     from repro.semirings.base import get_semiring
 
     n = rep.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
+
     sr = get_semiring("tropical")
     C = rep.C
     col = rep.col64  # memoized on the representation across runs
     val = rep.val_for(sr)
-    lane_off = np.arange(C, dtype=np.int64)
-    order = np.argsort(-rep.cl, kind="stable")
-    scl = rep.cl[order]
+    chunks = np.arange(rep.nc)
     f = np.full(rep.N, np.inf)
     f[int(rep.perm[root])] = 0.0
     iters: list[IterationStats] = []
@@ -118,14 +118,8 @@ def sssp_chunked(rep: WeightedSellCSigma, root: int,
         k += 1
         t_it = time.perf_counter()
         x = f.copy()
-        x2d = x.reshape(rep.nc, C)
-        for j in range(int(scl[0]) if scl.size else 0):
-            live = order[: int(np.searchsorted(-scl, -j, side="left"))]
-            if live.size == 0:
-                break
-            idx = (rep.cs[live] + j * C)[:, None] + lane_off
-            contrib = sr.mul(val[idx], f[col[idx]])
-            x2d[live] = sr.add(x2d[live], contrib)
+        sweep_band_layers(sr, C, col, val, rep.cs, rep.cl, f,
+                          x.reshape(rep.nc, C), chunks)
         changed = int(np.count_nonzero(x != f))
         f = x
         iters.append(IterationStats(
