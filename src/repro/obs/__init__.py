@@ -31,6 +31,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    owner_view,
     percentile,
 )
 from repro.obs.trace import Span, Tracer
@@ -44,6 +45,7 @@ __all__ = [
     "Tracer",
     "chrome_trace_events",
     "load_trace",
+    "owner_view",
     "percentile",
     "read_chrome_trace",
     "read_jsonl",

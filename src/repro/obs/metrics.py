@@ -6,7 +6,10 @@ layer's counters live at ``serve.*``, component snapshots are *views* —
 zero-cost lambdas evaluated only when read — at ``serve.result_cache.*``,
 ``serve.mshr.*``, ``serve.batcher.*`` and ``serve.breaker.*``, and the
 executed backend publishes ``exec.*``.  Views keep the hot path free:
-registering one does not touch the component it reads.
+registering one does not touch the component it reads.  A component that
+holds the registry it publishes into registers :func:`owner_view`\ s,
+which hold it weakly, so dropping it frees it without the cyclic
+collector.
 
 :class:`Histogram` tracks count/sum/min/max exactly and quantiles
 approximately via the P² streaming estimator (Jain & Chlamtac, CACM
@@ -21,6 +24,7 @@ through it).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -31,6 +35,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "owner_view",
     "percentile",
 ]
 
@@ -47,6 +52,23 @@ def percentile(values: Iterable[float], p: float) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.percentile(arr, p))
+
+
+def owner_view(owner: Any, read: Callable[[Any], Any]) -> Callable[[], Any]:
+    """A view reading ``read(owner)`` that holds ``owner`` weakly.
+
+    A view closing over its owner, registered in a registry the owner
+    holds, is a reference cycle: a dropped owner, and everything it holds,
+    would wait for a cyclic-GC pass.  Once the owner is gone the view
+    reads ``None``.
+    """
+    ref = weakref.ref(owner)
+
+    def view() -> Any:
+        obj = ref()
+        return None if obj is None else read(obj)
+
+    return view
 
 
 @dataclass

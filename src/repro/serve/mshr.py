@@ -110,6 +110,18 @@ class MSHRStats:
         return self.pending_hits + self.inflight_hits
 
 
+def _release(entry: MSHREntry) -> None:
+    """Drop the waiters' ticket → entry edges of a retired or aborted entry.
+
+    ``Ticket.mshr`` and ``MSHREntry.waiters`` point at each other; left in
+    place, every resolved ticket keeps its entry (and the entry's
+    traversal) alive until a cyclic-GC pass.
+    """
+    for ticket in entry.waiters:
+        if ticket.mshr is entry:
+            ticket.mshr = None
+
+
 class MissStatusRegistry:
     """Outstanding-miss table keyed ``(epoch, semiring, root)``.
 
@@ -175,6 +187,7 @@ class MissStatusRegistry:
         if self._entries.get(entry.key) is entry:
             del self._entries[entry.key]
             self.stats.aborted += 1
+            _release(entry)
 
     def take_due(self, now: float) -> list[MSHREntry]:
         """Pop every in-flight entry whose completion time has passed.
@@ -186,6 +199,7 @@ class MissStatusRegistry:
                if e.state == "inflight" and e.completion <= now]
         for entry in due:
             del self._entries[entry.key]
+            _release(entry)
         self.stats.retired += len(due)
         return due
 

@@ -172,8 +172,8 @@ class Ticket:
     #: later resolves :class:`TimedOut`.
     deadline_at: float | None = None
     #: The outstanding-miss entry this ticket waits on (set by the
-    #: server's MSHR when the ticket allocates or attaches; None for
-    #: cache hits and rejections).
+    #: server's MSHR when the ticket allocates or attaches, cleared when
+    #: the entry retires or aborts; None for cache hits and rejections).
     mshr: "MSHREntry | None" = field(default=None, repr=False)
     #: The query's open root span (tracing servers only; closed — and
     #: copied onto the result — when the ticket resolves).

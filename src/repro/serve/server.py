@@ -76,7 +76,7 @@ from repro.bfs.msbfs import build_rep
 from repro.bfs.result import BFSResult
 from repro.formats.sell import SellCSigma
 from repro.graphs.graph import Graph
-from repro.obs.metrics import MetricsRegistry, percentile
+from repro.obs.metrics import MetricsRegistry, owner_view, percentile
 from repro.obs.trace import Tracer
 from repro.semirings.base import get_semiring
 from repro.serve.batcher import Batch, QueryBatcher
@@ -174,21 +174,19 @@ class ServeStats:
         #: clock), so kernel percentiles are not diluted by hits under
         #: Zipf skew.
         self.cache_latencies: list[float] = []
-        reg = self.registry
-        reg.register_view("serve.mean_batch_width",
-                          lambda: self.mean_batch_width)
-        reg.register_view("serve.kernel_throughput_qps",
-                          lambda: self.kernel_throughput)
-        reg.register_view("serve.latency_p50_s",
-                          lambda: self.latency_percentile(50))
-        reg.register_view("serve.latency_p95_s",
-                          lambda: self.latency_percentile(95))
-        reg.register_view("serve.latency_p99_s",
-                          lambda: self.latency_percentile(99))
-        reg.register_view("serve.cache_latency_p50_s",
-                          lambda: self.cache_latency_percentile(50))
-        reg.register_view("serve.cache_latency_p99_s",
-                          lambda: self.cache_latency_percentile(99))
+        views = {
+            "serve.mean_batch_width": lambda s: s.mean_batch_width,
+            "serve.kernel_throughput_qps": lambda s: s.kernel_throughput,
+            "serve.latency_p50_s": lambda s: s.latency_percentile(50),
+            "serve.latency_p95_s": lambda s: s.latency_percentile(95),
+            "serve.latency_p99_s": lambda s: s.latency_percentile(99),
+            "serve.cache_latency_p50_s":
+                lambda s: s.cache_latency_percentile(50),
+            "serve.cache_latency_p99_s":
+                lambda s: s.cache_latency_percentile(99),
+        }
+        for name, read in views.items():
+            self.registry.register_view(name, owner_view(self, read))
 
     @property
     def mean_batch_width(self) -> float:
@@ -420,9 +418,10 @@ class Server:
         self.mshr.register_metrics(self.metrics)
         self.batcher.register_metrics(self.metrics)
         self.breaker.register_metrics(self.metrics)
-        self.metrics.register_view("serve.epoch", lambda: self.epoch)
-        self.metrics.register_view("serve.busy_until",
-                                   lambda: self._busy_until)
+        self.metrics.register_view(
+            "serve.epoch", owner_view(self, lambda s: s.epoch))
+        self.metrics.register_view(
+            "serve.busy_until", owner_view(self, lambda s: s._busy_until))
 
     # ------------------------------------------------------------------
     @property

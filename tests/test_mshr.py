@@ -61,6 +61,18 @@ class TestRegistry:
         assert reg.stats.retired == 1 and reg.stats.allocated == 1
         assert reg.stats.hits == 2
         assert reg.lookup(key) is None     # retired entries leave the table
+        # Retiring drops every waiter's edge back to the entry, so tickets
+        # and entry do not keep each other alive.
+        assert t1.mshr is t2.mshr is t3.mshr is None
+
+    def test_abort_releases_waiters(self):
+        reg = MissStatusRegistry()
+        t1, t2 = _ticket(3), _ticket(3)
+        entry = reg.allocate((0, "sel-max", 3), t1)
+        reg.attach(entry, t2)
+        reg.abort(entry)
+        assert t1.mshr is None and t2.mshr is None
+        assert entry.waiters == [t1, t2]
 
     def test_double_allocate_rejected(self):
         reg = MissStatusRegistry()

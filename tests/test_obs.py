@@ -37,6 +37,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     _P2Quantile,
+    owner_view,
     percentile,
 )
 from repro.obs.trace import Span, Tracer
@@ -214,6 +215,19 @@ class TestMetrics:
         reg.register_view("v", lambda: 1)
         reg.register_view("v", lambda: 2)
         assert reg.value("v") == 2
+
+    def test_owner_view_holds_owner_weakly(self):
+        class Owner:
+            def __init__(self):
+                self.registry = MetricsRegistry()
+                self.n = 3
+                self.registry.register_view("n", owner_view(self, lambda o: o.n))
+
+        owner = Owner()
+        reg = owner.registry
+        assert reg.value("n") == 3
+        del owner  # no cycle: freed by reference counting alone
+        assert reg.value("n") is None
 
     def test_snapshot_evaluates_everything(self):
         reg = MetricsRegistry()

@@ -567,6 +567,35 @@ class TestAsyncServer:
 
 # ----------------------------------------------------------------------
 class TestBugfixRegressions:
+    def test_dropped_server_freed_without_cyclic_gc(self):
+        # Registry views and MSHR ticket/entry edges used to form
+        # reference cycles, so a dropped server (stats lists, cache,
+        # results) lived until a gen-2 collection.
+        import gc
+        import weakref
+
+        g = path_graph(40)
+        gc.disable()
+        try:
+            srv = Server(g, max_batch=4, max_wait=1e-3)
+            tickets = [srv.submit(r, now=i * 1e-4)
+                       for i, r in enumerate([1, 2, 3, 1, 1, 5, 7, 2, 3])]
+            srv.poll(now=1e-2)
+            srv.submit(9, now=2e-2)
+            srv.drain(now=1.0)
+            srv.poll(now=10.0)
+            assert all(t.done for t in tickets)
+            assert srv.metrics.value("serve.epoch") == 0
+            view = srv.metrics._views["serve.mean_batch_width"]
+            ref, stats = weakref.ref(srv), weakref.ref(srv.stats)
+            del srv
+            assert ref() is None and stats() is None
+            assert view() is None  # a view of a dropped owner reads None
+            assert all(t.mshr is None for t in tickets)
+        finally:
+            gc.enable()
+
+
     """Pin the serve-layer fixes that rode along with the MSHR change."""
 
     @pytest.fixture(scope="class")
