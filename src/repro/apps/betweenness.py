@@ -155,9 +155,11 @@ def betweenness_centrality(
         batch = DEFAULT_BC_BATCH
     if batch < 1:
         raise ValueError(f"batch must be >= 1 or None, got {batch}")
+    src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    if src.ndim != 1:
+        raise ValueError(f"sources must be a 1-D sequence, got shape {src.shape}")
     op = SlimSpMV(rep, "real")
     bc = np.zeros(n)
-    src = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
     if batch > 1 and len(src):
         ms = MultiSourceBFS(rep, "tropical", slimwork=True,
                             compute_parents=False)

@@ -99,6 +99,15 @@ class TestBetweenness:
         with pytest.raises(ValueError, match="batch"):
             betweenness_centrality(path_graph(4), C=4, batch=0)
 
+    @pytest.mark.parametrize("batch", [None, 1])
+    @pytest.mark.parametrize("sources", [16, 0, [[0, 1], [2, 3]]])
+    def test_sources_must_be_1d(self, batch, sources):
+        # One contract on the batched and the per-source path: a scalar
+        # or a 2-D block is refused by name, not by a numpy TypeError.
+        with pytest.raises(ValueError, match="sources must be a 1-D"):
+            betweenness_centrality(path_graph(6), C=4, sources=sources,
+                                   batch=batch)
+
 
 class TestPageRank:
     def test_sums_to_one(self, kron_small):
