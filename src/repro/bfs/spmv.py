@@ -8,10 +8,11 @@ four semirings, with two interchangeable execution engines:
   simulated vector ISA.  One Python-level loop over chunks and column
   layers; every vector instruction and memory word is counted when
   ``counting=True``.  This engine is the ground truth for the cost model.
-* ``engine="layer"`` — processes *all* active chunks of one column layer at
-  a time in whole-array NumPy (ELLPACK-style).  Bit-identical results,
-  orders of magnitude faster wall clock; per-iteration counters are
-  synthesized analytically (validated against the chunk engine in tests).
+* ``engine="layer"`` — sweeps the active chunks with the shared
+  column-layer kernel :func:`repro.bfs.msbfs.sweep_band_layers`
+  (whole-array NumPy, ELLPACK-style).  Bit-identical results, orders of
+  magnitude faster wall clock; per-iteration counters are synthesized
+  analytically (validated against the chunk engine in tests).
 
 SlimWork (§III-C) is supported by both engines; SlimChunk (§III-D) affects
 the work-unit decomposition reported to the scheduling simulator.
