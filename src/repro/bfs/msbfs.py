@@ -133,28 +133,23 @@ def run_in_batches(engine, roots, batch: int | None) -> list[BFSResult]:
 
 
 # ----------------------------------------------------------------------
-# Shared sweep machinery: every engine that sweeps the chunked layout (the
-# single-source layer engine, this module's all-pull SpMM engine, the
-# direction-optimizing batch engine in :mod:`repro.bfs.mshybrid`, the
-# executed shards of :mod:`repro.exec`, the ``SlimSpMV`` operator and the
-# weighted SSSP sweep) drives the same column-layer kernel and the same
-# per-column state bookkeeping, so those pieces live here as functions.
+# Shared sweep machinery: every engine that sweeps the chunked layout
+# drives the same column-layer kernel and the same per-column state
+# bookkeeping, so those pieces live here as functions.
 # ----------------------------------------------------------------------
 
-#: The head of a sweep runs one vectorized step per column layer while at
-#: least this many chunks are live; the chunks still live past that depth
-#: (σ-sorted hub chunks) are finished by the tail.
+#: The head sweeps one vectorized step per layer while at least this many
+#: chunks are live; the tail finishes the (σ-sorted hub) chunks left.
 TAIL_LIVE = 8
-#: Elements per tail block (0.5 MB of float64): bounds the temporaries of
-#: a tail fold at any batch width.
+#: Elements per tail block (0.5 MB of float64), at any batch width.
 TAIL_BLOCK = 1 << 16
 
 
 def chunk_mask(settled: np.ndarray, C: int) -> np.ndarray:
     """SlimWork chunk activity: a chunk is active unless every lane settled.
 
-    Shape-polymorphic like the state it reads: settled lanes ``(N,)`` give
-    ``(nc,)``, a batch's ``(N, W)`` gives one column per source ``(nc, W)``.
+    Shape-polymorphic: settled lanes ``(N,)`` give ``(nc,)``, a batch's
+    ``(N, W)`` gives one column per source, ``(nc, W)``.
     """
     return ~settled.reshape((-1, C) + settled.shape[1:]).all(axis=1)
 
@@ -162,10 +157,9 @@ def chunk_mask(settled: np.ndarray, C: int) -> np.ndarray:
 def _fold(add: np.ufunc, blk: np.ndarray) -> np.ndarray:
     """⊕ over ``blk``'s rows strictly first to last, elementwise."""
     if blk[0].size > 1:
-        # Reducing a leading axis walks its rows in order.
-        return add.reduce(blk, axis=0)
-    # One element per row would make the reduced axis the innermost one,
-    # which NumPy sums pairwise; accumulate is sequential by definition.
+        return add.reduce(blk, axis=0)  # a leading axis reduces row by row
+    # A lone element per row makes the reduced axis innermost, which NumPy
+    # sums pairwise; accumulate is sequential by definition.
     return add.accumulate(blk, axis=0)[-1]
 
 
@@ -186,22 +180,17 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     value, which is exactly why the executed backend has to exchange union
     frontiers between sharded sweeps.
 
-    Chunks are sorted by descending length, so the live chunks of each
-    column layer are a shrinking prefix.  The **head** sweeps one layer
-    of every live chunk per vectorized step while at least
-    :data:`TAIL_LIVE` chunks are live.  σ-sorting puts a power-law graph's
-    hubs in a few chunks far longer than the rest, so past that depth only
-    a handful remain; the **tail** finishes each of them from its
-    contiguous column-major slots, in blocks of at most
-    :data:`TAIL_BLOCK` elements, folding a carry-first stacked block with
-    one ⊕ reduction over its leading axis.
-
-    Each chunk's rows accumulate only their own layer contributions,
-    strictly in ascending layer order in both phases (so even the real
-    semiring's float ``add`` rounds exactly as a per-layer loop would),
-    reading nothing but the fixed ``f_prev`` — so partitioning ``act``
-    across bands and sweeping each band separately is bit-identical to one
-    global sweep, for any partition.
+    Chunks sorted by descending length make each layer's live chunks a
+    shrinking prefix.  The head advances every live chunk one layer per
+    vectorized step while :data:`TAIL_LIVE` or more are live; the tail
+    finishes the few (hub) chunks left from their contiguous column-major
+    slots, :data:`TAIL_BLOCK` elements at a time, folding each block
+    behind the chunk's carry with one ⊕ reduction over its leading axis.
+    Either way each chunk's rows accumulate only their own layers, in
+    ascending order (so the real semiring's float sums round exactly as a
+    per-layer loop's), reading nothing but the fixed ``f_prev`` — so
+    sweeping ``act`` band by band is bit-identical to one global sweep,
+    for any partition.
 
     ``profile`` (optional) is the per-layer profiling hook: when a list is
     passed, one ``(j, live_n)`` pair is appended per column layer swept —
@@ -229,19 +218,16 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
         contrib = sr.mul(vals, f_prev[col[idx]])
         rows = out[:live_n]
         x_nd[rows] = sr.add(x_nd[rows], contrib)
-    lanes = x_nd[0].size  # C·W elements per layer of one chunk
-    step = max(1, TAIL_BLOCK // lanes - 1)  # layers per tail block
+    step = max(1, TAIL_BLOCK // x_nd[0].size - 1)  # layers per tail block
     for t in range(int(live[head]) if head < max_l else 0):
-        carry = x_nd[out[t]]
-        end = int(scl[t])
+        carry, end = x_nd[out[t]], int(scl[t])
         for j0 in range(head, end, step):
             j1 = min(j0 + step, end)
-            s0 = int(base[t]) + j0 * C
-            s1 = s0 + (j1 - j0) * C
+            slots = slice(int(base[t]) + j0 * C, int(base[t]) + j1 * C)
             blk = np.empty((j1 - j0 + 1,) + x_nd.shape[1:], dtype=x_nd.dtype)
             blk[0] = carry
-            v = val[s0:s1].reshape(j1 - j0, C)
-            g = f_prev[col[s0:s1]].reshape(blk[1:].shape)
+            v = val[slots].reshape(j1 - j0, C)
+            g = f_prev[col[slots]].reshape(blk[1:].shape)
             sr.mul(v[..., None] if wide else v, g, out=blk[1:])
             carry = _fold(sr.add, blk)
         x_nd[out[t]] = carry

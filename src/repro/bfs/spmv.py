@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from repro.bfs.dp import dp_transform
 from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.slimchunk import make_work_units
 from repro.formats.sell import PAD, SellCSigma
@@ -224,8 +223,7 @@ class BFSSpMV:
         rep, sr = self.rep, self.semiring
         C, nc, N = rep.C, rep.nc, rep.N
         st = sr.init_state(rep.n, N, proot)
-        col = rep.col64  # memoized on the representation across run() calls
-        val = rep.val_for(sr)
+        col, val = rep.col64, rep.val_for(sr)  # memoized on the rep
         cs, cl = rep.cs, rep.cl
         every = np.arange(nc)
         cap = self.max_iters if self.max_iters is not None else N + 1
@@ -330,29 +328,15 @@ class BFSSpMV:
 
     def _finalize(self, st: BFSState, root: int, iters: list[IterationStats],
                   total: float) -> BFSResult:
-        rep, sr = self.rep, self.semiring
-        dist_p = sr.finalize_distances(st)
-        dist = dist_p[rep.perm]  # back to original ids
-        parent = None
-        if self.compute_parents:
-            pp = sr.finalize_parents(st)
-            if pp is not None:
-                # sel-max: parents are permuted ids; map both axes back.
-                pv = pp[rep.perm]
-                parent = np.where(pv >= 0, rep.iperm[np.clip(pv, 0, rep.n - 1)], -1)
-                parent[root] = root
-            else:
-                parent = dp_transform(rep.graph_original, dist)
+        from repro.bfs.msbfs import finalize_batch
+
         method = f"spmv-{self.engine}"
         if self.slimwork:
             method += "+slimwork"
         if self.slimchunk:
             method += "+slimchunk"
-        return BFSResult(
-            dist=dist, parent=parent, root=root, method=method,
-            semiring=sr.name, representation=rep.name, iterations=iters,
-            preprocess_time_s=rep.build_time_s, total_time_s=total,
-        )
+        return finalize_batch(self.rep, self.semiring, [st], np.array([root]),
+                              [iters], total, method, self.compute_parents)[0]
 
 
 def bfs_spmv(

@@ -102,7 +102,6 @@ def sssp_chunked(rep: WeightedSellCSigma, root: int,
     n = rep.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
-
     sr = get_semiring("tropical")
     C = rep.C
     col = rep.col64  # memoized on the representation across runs
