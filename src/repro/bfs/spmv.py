@@ -236,7 +236,8 @@ class BFSSpMV:
             act = (np.flatnonzero(chunk_mask(sr.settled_lanes(st), C))
                    if self.slimwork else every)
             x_raw = st.f.copy()  # carry: skipped chunks keep their old values
-            # Called even when nothing is active: one sweep per iteration.
+            # Sweep even an empty active set: perfbench's probe counts one
+            # sweep per iteration here.
             sweep_band_layers(sr, C, col, val, cs, cl, st.f,
                               x_raw.reshape(nc, C), act)
             newly = sr.postprocess(st, x_raw)

@@ -585,12 +585,9 @@ class TestBugfixRegressions:
             srv.drain(now=1.0)
             srv.poll(now=10.0)
             assert all(t.done for t in tickets)
-            assert srv.metrics.value("serve.epoch") == 0
-            view = srv.metrics._views["serve.mean_batch_width"]
             ref, stats = weakref.ref(srv), weakref.ref(srv.stats)
             del srv
             assert ref() is None and stats() is None
-            assert view() is None  # a view of a dropped owner reads None
             assert all(t.mshr is None for t in tickets)
         finally:
             gc.enable()
