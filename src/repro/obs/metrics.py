@@ -7,9 +7,9 @@ zero-cost lambdas evaluated only when read — at ``serve.result_cache.*``,
 ``serve.mshr.*``, ``serve.batcher.*`` and ``serve.breaker.*``, and the
 executed backend publishes ``exec.*``.  Views keep the hot path free:
 registering one does not touch the component it reads.  A component that
-holds the registry it publishes into registers :func:`owner_view`\ s,
-which hold it weakly, so dropping it frees it without the cyclic
-collector.
+holds the registry it publishes into registers its views through
+:func:`owner_view`, which holds it weakly, so dropping it frees it
+without the cyclic collector.
 
 :class:`Histogram` tracks count/sum/min/max exactly and quantiles
 approximately via the P² streaming estimator (Jain & Chlamtac, CACM
