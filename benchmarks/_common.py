@@ -9,6 +9,7 @@ or in the saved artifacts), and persists them as JSON under
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,27 @@ def write_bench_json(path, payload: dict) -> None:
     # Strict JSON: refuse NaN/Infinity instead of emitting the Python-only
     # literals no other tooling can parse (benches must stringify them).
     path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def probe_seconds(reps: int = 31) -> float:
+    """Median seconds of a fixed, seeded gather + ⊕ microkernel.
+
+    One sel-max layer step (gather, ⊗ = multiply, ⊕ = max) over 2**16
+    slots reading a 2**12-vertex frontier: operands come from a fixed seed,
+    so the time moves only with the host.  Benches divide kernel seconds by
+    it (``kernel_over_probe``) to gate absolute kernel speed portably.
+    """
+    rng = np.random.default_rng(20170529)
+    f = rng.random(1 << 12)
+    val = rng.random(1 << 16)
+    col = rng.integers(0, f.size, val.size)
+    acc = rng.random(val.size)
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        np.maximum(acc, np.multiply(val, f[col]))
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
 
 
 def _jsonify(obj):

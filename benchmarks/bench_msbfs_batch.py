@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from _common import write_bench_json
+from _common import probe_seconds, write_bench_json
 
 from repro.bfs.spmv import BFSSpMV
 from repro.formats.slimsell import SlimSell
@@ -42,26 +42,6 @@ from repro.graphs.kronecker import kronecker
 #: the regression gate re-runs exactly the workload whose numbers are stored
 #: as the committed quick baseline.
 QUICK = {"scale": 10, "edgefactor": 16, "nroots": 16, "batches": [1, 4, 16]}
-
-
-def probe_seconds(reps: int = 31) -> float:
-    """Median seconds of a fixed, seeded gather + ⊕ microkernel.
-
-    One sel-max layer step (gather, ⊗ = multiply, ⊕ = max) over 2**16
-    slots reading a 2**12-vertex frontier: operands come from a fixed seed,
-    so the time moves only with the host.
-    """
-    rng = np.random.default_rng(20170529)
-    f = rng.random(1 << 12)
-    val = rng.random(1 << 16)
-    col = rng.integers(0, f.size, val.size)
-    acc = rng.random(val.size)
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        np.maximum(acc, np.multiply(val, f[col]))
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
 
 
 def run_sweep(scale: int, edgefactor: float, nroots: int,

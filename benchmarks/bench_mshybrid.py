@@ -7,7 +7,10 @@ batch widths B and Beamer thresholds α, against the all-pull multi-source
 engine (PR 2's ``bench_msbfs_batch.py`` kernel) measured at the same batch
 widths on the same prebuilt representation.  Every hybrid run is checked
 bit-identical (distances and parents) to the all-pull baseline before its
-timing is trusted.
+timing is trusted.  Each hybrid point also reports ``kernel_over_probe``
+(kernel seconds over the same-process gather + ⊕ microkernel of
+``_common.probe_seconds``), which sees absolute kernel speed where the
+speedups over all-pull divide it out.
 
 The expected shape: direction optimization dominates at small B (push
 phases skip the full-graph pull sweeps that batching has not yet
@@ -32,7 +35,7 @@ import time
 
 import numpy as np
 
-from _common import write_bench_json
+from _common import probe_seconds, write_bench_json
 
 from repro.bfs.mshybrid import MultiSourceHybridBFS
 from repro.bfs.spmv import BFSSpMV
@@ -64,6 +67,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
     # Warm the memoized operands (col64, per-semiring val) so every config
     # measures steady-state kernel time, not one-time materialization.
     BFSSpMV(rep, "sel-max", slimwork=True).run(int(roots[0]))
+    probe_s = probe_seconds()
 
     # All-pull baselines (the PR 2 kernel), one per batch width.
     ref_results = None
@@ -96,6 +100,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
                 "kernel_s": kernel_s,
                 "speedup_vs_allpull_same_B": pull_by_b[B] / kernel_s,
                 "speedup_vs_best_allpull": best_pull / kernel_s,
+                "kernel_over_probe": kernel_s / probe_s,
                 "identical_to_allpull": _identical(ref_results, results),
             })
 
@@ -106,6 +111,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
             "n": graph.n, "m": graph.m, "nroots": int(roots.size),
             "seed": seed, "C": 16, "semiring": "sel-max", "slimwork": True,
             "representation": "slimsell", "build_s": build_s,
+            "probe_s": probe_s,
         },
         "allpull_baseline": baselines,
         "grid": grid,

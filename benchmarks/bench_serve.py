@@ -11,7 +11,10 @@ kernel throughput, and what it costs (or saves, under load: queueing)
 in latency.
 
 Every configuration's served answers are verified bit-identical to
-direct batched-engine calls before its numbers are trusted.
+direct batched-engine calls before its numbers are trusted.  Each point
+also reports ``kernel_over_probe``: kernel seconds per served query over
+the same-process gather + ⊕ microkernel of ``_common.probe_seconds``, which
+sees absolute kernel speed where the per-query speedups divide it out.
 
 A second, seed-deterministic ablation sweeps Zipf skew under burst
 arrivals (cache on) and records MSHR reuse: ``reuse_rate`` and
@@ -37,7 +40,7 @@ import time
 
 import numpy as np
 
-from _common import print_table, write_bench_json
+from _common import print_table, probe_seconds, write_bench_json
 
 from repro.bfs.msbfs import MultiSourceBFS
 from repro.formats.slimsell import SlimSell
@@ -213,6 +216,7 @@ def run_sweep(scale: int, edgefactor: float, nqueries: int, root_pool: int,
     # Warm the memoized operands (col64, per-semiring val) so every config
     # measures steady-state kernel time, not one-time materialization.
     Server(rep, max_batch=1, cache_size=0).submit(int(pool[0]), now=0.0)
+    probe_s = probe_seconds()
 
     if 1 not in max_batches:
         raise SystemExit("max_batches must include 1 (the per-query baseline)")
@@ -239,6 +243,8 @@ def run_sweep(scale: int, edgefactor: float, nqueries: int, root_pool: int,
                 "virtual_qps": report["virtual_throughput_qps"],
                 "speedup_vs_per_query": (report["kernel_throughput_qps"]
                                          / base_qps),
+                "kernel_over_probe": (1.0 / report["kernel_throughput_qps"]
+                                      / probe_s),
                 "batches": report["batches"],
                 "mean_width": report["mean_batch_width"],
                 "mshr_hits": report["mshr_hits"],
@@ -278,7 +284,7 @@ def run_sweep(scale: int, edgefactor: float, nqueries: int, root_pool: int,
             "n": graph.n, "m": graph.m, "nqueries": nqueries,
             "root_pool": int(pool.size), "zipf": zipf, "seed": seed,
             "C": 16, "semiring": "sel-max", "max_wait_s": MAX_WAIT_S,
-            "build_s": build_s,
+            "build_s": build_s, "probe_s": probe_s,
         },
         "grid": grid,
         "cache_reference": cache_row,

@@ -11,17 +11,19 @@ What is compared is deliberately machine-portable:
 
 * ``bench_msbfs_batch`` / ``bench_mshybrid`` — batching/direction speedup
   *ratios* (kernel-time quotients measured in the same process, so the
-  host's absolute speed divides out), plus each msbfs width's
-  ``kernel_over_probe``: kernel seconds over a fixed gather + ⊕
-  microkernel timed in the same process, which sees absolute kernel speed
-  that the ratios divide out;
+  host's absolute speed divides out), plus each msbfs width's and the
+  B=1 hybrid's ``kernel_over_probe``: kernel seconds over a fixed
+  gather + ⊕ microkernel timed in the same process, which sees absolute
+  kernel speed that the ratios divide out;
 * ``bench_dist_batch`` — the distributed model's ``modeled_total_s`` and
   ``comm_bytes_per_rank`` series, which are deterministic functions of the
   code (chunk activity × analytic cost model), i.e. exact change detectors;
 * ``bench_serve`` — the serving layer's batched-vs-per-query kernel
-  throughput *ratios* (same-process quotients, machine-portable), plus
-  the MSHR Zipf-ablation ``reuse_rate`` / ``columns_per_query`` ratios,
-  which are seed-deterministic (virtual-clock) exact change detectors;
+  throughput *ratios* (same-process quotients, machine-portable) and the
+  batched points' ``kernel_over_probe`` (kernel seconds per served query
+  over the probe), plus the MSHR Zipf-ablation ``reuse_rate`` /
+  ``columns_per_query`` ratios, which are seed-deterministic
+  (virtual-clock) exact change detectors;
 * ``bench_exec`` — the executed backend's critical-path speedup *ratios*
   (slowest-shard vs single-shard compute seconds from the same process,
   machine-portable; the threads backend's wall clock is reported in the
@@ -113,7 +115,7 @@ def _run_mshybrid_quick() -> dict:
 
 
 def _extract_mshybrid(payload: dict) -> list[Point]:
-    return [
+    points = [
         Point(
             f"B={r['B']},alpha={r['alpha']:g}.speedup_vs_allpull",
             r["speedup_vs_allpull_same_B"],
@@ -122,6 +124,19 @@ def _extract_mshybrid(payload: dict) -> list[Point]:
         )
         for r in payload["grid"]
     ]
+    # The B=1 hybrid's absolute speed: the numerator of its all-pull ratio,
+    # which a faster all-pull B=1 sweep moves on its own.
+    points.extend(
+        Point(
+            f"B={r['B']},alpha={r['alpha']:g}.kernel_over_probe",
+            r["kernel_over_probe"],
+            "lower",
+            True,
+        )
+        for r in payload["grid"]
+        if r["B"] == 1 and "kernel_over_probe" in r
+    )
+    return points
 
 
 def _run_dist_batch_quick() -> dict:
@@ -186,6 +201,18 @@ def _extract_serve(payload: dict) -> list[Point]:
         for r in payload["grid"]
         if r["B"] != 1
     ]
+    # Batched kernel seconds per served query over the probe: the absolute
+    # speed the per-query ratios divide out.
+    points.extend(
+        Point(
+            f"rate={r['rate']},B={r['B']}.kernel_over_probe",
+            r["kernel_over_probe"],
+            "lower",
+            True,
+        )
+        for r in payload["grid"]
+        if r["B"] != 1 and "kernel_over_probe" in r
+    )
     # MSHR Zipf ablation: reuse under burst arrivals is decided by the
     # virtual clock, so these ratios are seed-deterministic (exact change
     # detectors, not timing points).  reuse_rate dropping or

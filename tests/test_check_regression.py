@@ -225,6 +225,25 @@ class TestBestPoints:
         assert best["lo"].value == 3.0
 
 
+class TestProbePoints:
+    def test_probe_points_gate_absolute_kernel_speed(self, gate):
+        # The hybrid's B=1 points and every batched serve point carry a
+        # lower-is-better timing point next to their ratio.
+        hybrid = {"grid": [
+            {"B": B, "alpha": 8.0, "speedup_vs_allpull_same_B": 1.5,
+             "kernel_over_probe": 40.0 * B}
+            for B in (1, 4)]}
+        serve = {"grid": [
+            {"rate": "inf", "B": B, "speedup_vs_per_query": 2.0,
+             "kernel_over_probe": 9.0}
+            for B in (1, 8)]}
+        points = gate._extract_mshybrid(hybrid) + gate._extract_serve(serve)
+        probes = [p for p in points if p.name.endswith("kernel_over_probe")]
+        assert [p.name for p in probes] == [
+            "B=1,alpha=8.kernel_over_probe", "rate=inf,B=8.kernel_over_probe"]
+        assert all(p.direction == "lower" and p.timing for p in probes)
+
+
 class TestListFlag:
     def test_list_prints_registered_gates(self, gate, capsys):
         # --list shows every registered gate without running any sweep.
