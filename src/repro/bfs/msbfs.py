@@ -163,11 +163,46 @@ def _fold(add: np.ufunc, blk: np.ndarray) -> np.ndarray:
     return add.accumulate(blk, axis=0)[-1]
 
 
+def _fold_slot_runs(sr: SemiringBFS, C: int, col: np.ndarray,
+                    val: np.ndarray, cs: np.ndarray, cl: np.ndarray,
+                    f_prev: np.ndarray, x_nd: np.ndarray, chunks: np.ndarray,
+                    out: np.ndarray, row64: np.ndarray) -> None:
+    """One frontier column: ⊕-scatter each run of contiguous chunk slots.
+
+    ``chunks`` (global ids) are swept into rows ``out`` of ``x_nd``.  A run
+    is a slot-order sequence of chunks whose slots abut and whose output
+    rows keep one offset from their global rows; it is folded in blocks of
+    :data:`TAIL_BLOCK` slots by one gather, one ⊗ and one ``ufunc.at``
+    scatter.  ``ufunc.at`` applies updates in index order and a row's slots
+    ascend by layer, so every row folds ``carry ⊕ c₀ ⊕ c₁ ⊕ …`` exactly as
+    the per-layer loop does.
+    """
+    if not x_nd.flags["C_CONTIGUOUS"]:
+        # reshape() would return a copy and silently drop every update.
+        raise ValueError("x_nd must be C-contiguous for a one-column sweep")
+    x = x_nd.reshape(-1)
+    f = f_prev if f_prev.ndim == 1 else f_prev[:, 0]
+    by_slot = np.argsort(cs[chunks], kind="stable")
+    chunks, out = chunks[by_slot], out[by_slot]
+    lo = cs[chunks]
+    hi = lo + cl[chunks] * C
+    shift = (chunks - out) * C
+    cut = np.flatnonzero((lo[1:] != hi[:-1]) | (shift[1:] != shift[:-1])) + 1
+    first, last = np.r_[0, cut], np.r_[cut, chunks.size] - 1
+    for s0, s1, d in zip(lo[first].tolist(), hi[last].tolist(),
+                         shift[first].tolist()):
+        for b0 in range(s0, s1, TAIL_BLOCK):
+            b1 = min(b0 + TAIL_BLOCK, s1)
+            rows = row64[b0:b1] - d if d else row64[b0:b1]
+            sr.add.at(x, rows, sr.mul(val[b0:b1], f[col[b0:b1]]))
+
+
 def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
                       val: np.ndarray, cs: np.ndarray, cl: np.ndarray,
                       f_prev: np.ndarray, x_nd: np.ndarray, act: np.ndarray,
                       act_out: np.ndarray | None = None,
-                      profile: list | None = None) -> None:
+                      profile: list | None = None, *,
+                      row64: np.ndarray) -> None:
     """Column-layer sweep over the chunks ``act``, into an ``x_nd`` view.
 
     The sharded core of :func:`spmm_layer_sweep`: ``x_nd`` is a chunk-major
@@ -180,17 +215,21 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     value, which is exactly why the executed backend has to exchange union
     frontiers between sharded sweeps.
 
-    Chunks sorted by descending length make each layer's live chunks a
-    shrinking prefix.  The head advances every live chunk one layer per
-    vectorized step while :data:`TAIL_LIVE` or more are live; the tail
-    finishes the few (hub) chunks left from their contiguous column-major
-    slots, :data:`TAIL_BLOCK` elements at a time, folding each block
-    behind the chunk's carry with one ⊕ reduction over its leading axis.
-    Either way each chunk's rows accumulate only their own layers, in
-    ascending order (so the real semiring's float sums round exactly as a
-    per-layer loop's), reading nothing but the fixed ``f_prev`` — so
-    sweeping ``act`` band by band is bit-identical to one global sweep,
-    for any partition.
+    A single frontier column (``x_nd`` of shape ``(nb, C)`` or
+    ``(nb, C, 1)``) walks no layers: runs of active chunks with contiguous
+    slots are ⊕-scattered into their rows through ``row64``, the
+    representation's slot → padded-row map (:attr:`SellCSigma.row64`).
+    Wider batches sort chunks by descending length, so each layer's live
+    chunks are a shrinking prefix.  The head advances every live chunk one
+    layer per vectorized step while :data:`TAIL_LIVE` or more are live;
+    the tail finishes the few (hub) chunks left from their contiguous
+    column-major slots, :data:`TAIL_BLOCK` elements at a time, folding
+    each block behind the chunk's carry with one ⊕ reduction over its
+    leading axis.  Every path accumulates each chunk's rows over only
+    their own layers, in ascending order (so the real semiring's float
+    sums round exactly as a per-layer loop's), reading nothing but the
+    fixed ``f_prev`` — so sweeping ``act`` band by band is bit-identical
+    to one global sweep, for any partition.
 
     ``profile`` (optional) is the per-layer profiling hook: when a list is
     passed, one ``(j, live_n)`` pair is appended per column layer swept —
@@ -209,6 +248,10 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     live = np.searchsorted(-scl, -np.arange(max_l), side="left")
     if profile is not None:
         profile.extend(zip(range(max_l), live.tolist()))
+    if x_nd[0].size == C:
+        _fold_slot_runs(sr, C, col, val, cs, cl, f_prev, x_nd, srt, out,
+                        row64)
+        return
     wide = x_nd.ndim == 3
     head = int(scl[TAIL_LIVE - 1]) if scl.size >= TAIL_LIVE else 0
     lane_off = np.arange(C, dtype=np.int64)
@@ -243,8 +286,8 @@ def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
     accumulator of the same shape that already carries ``f_prev``'s values
     (inactive chunks keep their columns untouched).  ``act`` holds the
     indices of the chunks to process.  The matrix operands come from the
-    representation's memoized ``col64``/``val_for`` caches, so repeated
-    sweeps stream the same arrays.
+    representation's memoized ``col64``/``row64``/``val_for`` caches, so
+    repeated sweeps stream the same arrays.
 
     Active chunks are sorted by descending length so the live set of each
     successive column layer is a shrinking prefix; every gather/mul/add of
@@ -263,7 +306,7 @@ def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
     batched = f_prev.ndim == 2
     x_nd = x_out.reshape((rep.nc, rep.C, -1) if batched else (rep.nc, rep.C))
     sweep_band_layers(sr, rep.C, rep.col64, rep.val_for(sr), rep.cs, rep.cl,
-                      f_prev, x_nd, act, profile=profile)
+                      f_prev, x_nd, act, profile=profile, row64=rep.row64)
 
 
 def snapshot_column(st: BFSState, j: int) -> BFSState:

@@ -36,6 +36,7 @@ class SlimSpMV:
         self.semiring = (get_semiring(semiring)
                          if isinstance(semiring, str) else semiring)
         self._col = rep.col64  # memoized on the representation
+        self._row = rep.row64
         self._val = rep.val_for(self.semiring)
         self._chunks = np.arange(rep.nc)
 
@@ -71,7 +72,8 @@ class SlimSpMV:
         Xp[rep.perm] = X
         Y = np.full((N, B), sr.zero)
         sweep_band_layers(sr, C, self._col, self._val, rep.cs, rep.cl, Xp,
-                          Y.reshape(rep.nc, C, B), self._chunks)
+                          Y.reshape(rep.nc, C, B), self._chunks,
+                          row64=self._row)
         return Y[rep.perm]
 
     def power_iterate(self, x0: np.ndarray, steps: int) -> np.ndarray:

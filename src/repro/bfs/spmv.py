@@ -223,7 +223,7 @@ class BFSSpMV:
         rep, sr = self.rep, self.semiring
         C, nc, N = rep.C, rep.nc, rep.N
         st = sr.init_state(rep.n, N, proot)
-        col, val = rep.col64, rep.val_for(sr)  # memoized on the rep
+        col, val, row64 = rep.col64, rep.val_for(sr), rep.row64  # memoized
         cs, cl = rep.cs, rep.cl
         every = np.arange(nc)
         cap = self.max_iters if self.max_iters is not None else N + 1
@@ -239,7 +239,7 @@ class BFSSpMV:
             # Sweep even an empty active set: perfbench's probe counts one
             # sweep per iteration here.
             sweep_band_layers(sr, C, col, val, cs, cl, st.f,
-                              x_raw.reshape(nc, C), act)
+                              x_raw.reshape(nc, C), act, row64=row64)
             newly = sr.postprocess(st, x_raw)
             stats = IterationStats(
                 k=k, newly=newly, time_s=time.perf_counter() - t0,

@@ -81,14 +81,10 @@ def column_split_lengths(rep: SellCSigma, nblocks: int) -> np.ndarray:
     nc, C = rep.nc, rep.C
     if nc == 0 or nblocks < 1:
         return np.zeros((nc, max(nblocks, 0)), dtype=np.int64)
-    sizes = rep.cl * C
-    chunk_of = np.repeat(np.arange(nc, dtype=np.int64), sizes)
-    offset = np.arange(lay.col.size, dtype=np.int64) - rep.cs[chunk_of]
-    row_of = offset % C
     edge = lay.edge_mask()
     block_size = max(1, -(-rep.N // nblocks))  # ceil(N / nblocks)
     block_of = lay.col[edge].astype(np.int64) // block_size
-    key = (chunk_of[edge] * C + row_of[edge]) * nblocks + block_of
+    key = rep.row64[edge] * nblocks + block_of
     counts = np.bincount(key, minlength=nc * C * nblocks)
     return counts.reshape(nc, C, nblocks).max(axis=1).astype(np.int64)
 

@@ -81,8 +81,8 @@ def _band_rows(chunks: np.ndarray, C: int) -> np.ndarray:
 
 
 def _sweep_shard(sr: SemiringBFS, C: int, col: np.ndarray, val: np.ndarray,
-                 cs: np.ndarray, cl: np.ndarray, chunks: np.ndarray,
-                 rows: np.ndarray, f_prev: np.ndarray,
+                 cs: np.ndarray, cl: np.ndarray, row64: np.ndarray,
+                 chunks: np.ndarray, rows: np.ndarray, f_prev: np.ndarray,
                  act_r: np.ndarray) -> np.ndarray:
     """One worker's iteration: copy its band out of ``f_prev``, sweep it.
 
@@ -95,7 +95,7 @@ def _sweep_shard(sr: SemiringBFS, C: int, col: np.ndarray, val: np.ndarray,
     shape = (nb, C) if f_prev.ndim == 1 else (nb, C, f_prev.shape[1])
     act_out = np.searchsorted(chunks, act_r)
     sweep_band_layers(sr, C, col, val, cs, cl, f_prev, x_band.reshape(shape),
-                      act_r, act_out)
+                      act_r, act_out, row64=row64)
     return x_band
 
 
@@ -112,6 +112,7 @@ class _ShardBackend:
         self.val = rep.val_for(sr)
         self.cs = rep.cs
         self.cl = rep.cl
+        self.row64 = rep.row64
         self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
         self.rows = [_band_rows(s, rep.C) for s in self.shards]
 
@@ -152,7 +153,8 @@ class SerialBackend(_ShardBackend):
             t0 = time.perf_counter()
             bands.append(_sweep_shard(
                 self.sr, self.C, self.col, self.val, self.cs, self.cl,
-                self.shards[r], self.rows[r], f_prev, act_parts[r]))
+                self.row64, self.shards[r], self.rows[r], f_prev,
+                act_parts[r]))
             t_workers.append(time.perf_counter() - t0)
         x_raw, t_exchange = self._gather(f_prev, bands)
         return x_raw, t_workers, t_exchange
@@ -172,8 +174,8 @@ class ThreadBackend(_ShardBackend):
     def _timed_shard(self, r: int, f_prev, act_r):
         t0 = time.perf_counter()
         band = _sweep_shard(self.sr, self.C, self.col, self.val, self.cs,
-                            self.cl, self.shards[r], self.rows[r], f_prev,
-                            act_r)
+                            self.cl, self.row64, self.shards[r], self.rows[r],
+                            f_prev, act_r)
         return band, time.perf_counter() - t0
 
     def run_layer(self, f_prev, act_parts):
@@ -190,7 +192,8 @@ class ThreadBackend(_ShardBackend):
         self._pool.shutdown(wait=True)
 
 
-def _worker_main(conn, shm_f, shm_x, sr, C, col, val, cs, cl, chunks, rows):
+def _worker_main(conn, shm_f, shm_x, sr, C, col, val, cs, cl, row64, chunks,
+                 rows):
     """Forked worker loop: sweep one band per message until ``None``.
 
     Everything heavy (matrix operands, the chunk band) arrived through the
@@ -207,7 +210,7 @@ def _worker_main(conn, shm_f, shm_x, sr, C, col, val, cs, cl, chunks, rows):
             t0 = time.perf_counter()
             dt = np.dtype(dtype_str)
             f_prev = np.ndarray(shape, dtype=dt, buffer=shm_f.buf)
-            band = _sweep_shard(sr, C, col, val, cs, cl, chunks, rows,
+            band = _sweep_shard(sr, C, col, val, cs, cl, row64, chunks, rows,
                                 f_prev, act_r)
             x_out = np.ndarray(shape, dtype=dt, buffer=shm_x.buf)
             x_out[rows] = band
@@ -251,7 +254,7 @@ class ProcessBackend(_ShardBackend):
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(child, self._shm_f, self._shm_x, self.sr, self.C,
-                          self.col, self.val, self.cs, self.cl,
+                          self.col, self.val, self.cs, self.cl, self.row64,
                           self.shards[r], self.rows[r]),
                     daemon=True)
                 proc.start()

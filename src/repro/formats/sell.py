@@ -187,6 +187,7 @@ class SellCSigma:
         self._edge_mask = lay.edge_mask()
         self._val_cache: dict[str, np.ndarray] = {}
         self._col64: np.ndarray | None = None
+        self._row64: np.ndarray | None = None
 
     # -- shared geometry ------------------------------------------------
     @property
@@ -245,6 +246,24 @@ class SellCSigma:
             c = self.col.astype(np.int64)
             self._col64 = c
         return c
+
+    @property
+    def row64(self) -> np.ndarray:
+        """Padded row id of every slot (``chunk·C + lane``), memoized.
+
+        Slot ``cs[i] + j·C + r`` holds an entry of row ``i·C + r``; the
+        single-column sweep scatters whole slot runs through this map, and
+        the weighted and 2D-distributed layouts read their rows from it.
+        """
+        r = self._row64
+        if r is None:
+            chunk = np.repeat(np.arange(self.nc, dtype=np.int64),
+                              self.cl * self.C)
+            lane = (np.arange(chunk.size, dtype=np.int64)
+                    - self.cs[chunk]) % self.C
+            r = chunk * self.C + lane
+            self._row64 = r
+        return r
 
     # -- values ----------------------------------------------------------
     def val_for(self, semiring: SemiringBFS) -> np.ndarray:

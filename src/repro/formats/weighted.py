@@ -63,12 +63,8 @@ class WeightedSellCSigma(SellCSigma):
         # Each slot of the permuted layout corresponds to a directed entry
         # (row', col') in sorted space; map back to original-id pairs.
         lay = self._layout
-        is_edge = lay.col != -1
-        slots = np.flatnonzero(is_edge)
-        # Recover (row', col') per edge slot from the chunk geometry.
-        chunk_of = np.searchsorted(self.cs, slots, side="right") - 1
-        within = slots - self.cs[chunk_of]
-        rows_p = chunk_of * self.C + within % self.C
+        slots = np.flatnonzero(lay.col != -1)
+        rows_p = self.row64[slots]
         cols_p = lay.col[slots].astype(np.int64)
         u = self.iperm[rows_p]
         v = self.iperm[cols_p]
@@ -118,7 +114,7 @@ def sssp_chunked(rep: WeightedSellCSigma, root: int,
         t_it = time.perf_counter()
         x = f.copy()
         sweep_band_layers(sr, C, col, val, rep.cs, rep.cl, f,
-                          x.reshape(rep.nc, C), chunks)
+                          x.reshape(rep.nc, C), chunks, row64=rep.row64)
         changed = int(np.count_nonzero(x != f))
         f = x
         iters.append(IterationStats(

@@ -6,7 +6,9 @@ layers in a different order.  PageRank and betweenness consume the real
 semiring's float sums, where a different order rounds differently.  These
 tests hold the kernel's raw accumulator, bit for bit, and its ``profile=``
 record to the per-layer loop below: one vectorized step per column layer,
-each chunk's contributions added in ascending layer order.
+each chunk's contributions added in ascending layer order.  A single
+frontier column takes the kernel's run-scatter path, two or more its
+head/tail path; the widths below cover both.
 """
 
 from functools import cache
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bfs import msbfs
 from repro.bfs.msbfs import TAIL_BLOCK, TAIL_LIVE, sweep_band_layers
 from repro.formats.sell import SellCSigma
 from repro.formats.slimsell import SlimSell
@@ -23,9 +26,11 @@ from repro.graphs.kronecker import kronecker
 from repro.semirings.base import get_semiring
 
 SEMIRINGS = ["tropical", "real", "boolean", "sel-max"]
-WIDTHS = [1, 3, 16, 64]
-ACTS = ["empty", "hub", "all", "subset", "zero-length"]
-LAYOUTS = ["slimsell-8", "sell-1"]
+# None: a 1-D (N,) frontier; 1: one (N, 1) column, the shape of a batch
+# compacted to its last live source.
+WIDTHS = [None, 1, 2, 3, 16, 64]
+ACTS = ["empty", "hub", "all", "subset", "unsorted", "zero-length"]
+LAYOUTS = ["slimsell-8", "sell-1", "sell-1-unsorted"]
 
 
 def reference_sweep(sr, C, col, val, cs, cl, f_prev, x_nd, act, act_out, profile):
@@ -49,11 +54,12 @@ def reference_sweep(sr, C, col, val, cs, cl, f_prev, x_nd, act, act_out, profile
 @cache
 def layout(name):
     """A scale-10 Kronecker layout: one hub chunk far longer than the rest,
-    and zero-length chunks from isolated vertices."""
+    and zero-length chunks from isolated vertices (interleaved with the
+    others when unsorted, σ = 1)."""
     g = kronecker(10, 16, seed=3)
     if name == "slimsell-8":
         return SlimSell(g, 8, g.n)
-    return SellCSigma(g, 1, g.n)
+    return SellCSigma(g, 1, 1 if name == "sell-1-unsorted" else g.n)
 
 
 def wide_range(rng, shape):
@@ -88,25 +94,29 @@ def active_set(rep, kind, rng):
         act = np.flatnonzero(rep.cl == 0)
         assert act.size
         return act
-    size = int(rng.integers(1, nc))
-    return np.sort(rng.choice(nc, size=size, replace=False))
+    act = rng.choice(nc, size=int(rng.integers(1, nc)), replace=False)
+    return act if kind == "unsorted" else np.sort(act)
 
 
-def sweep_both(layout_name, semiring, W, kind, banded, seed):
+def sweep_both(layout_name, semiring, W, kind, banded, seed, band=None):
     """Run kernel and reference on identical inputs; both accumulators and
-    both profiles."""
+    both profiles.  ``band`` fixes the row band (and keeps only the active
+    chunks inside it); by default ``banded`` draws one at random."""
     rep = layout(layout_name)
     sr = get_semiring(semiring)
     C = rep.C
     rng = np.random.default_rng(seed)
-    shape = (rep.N,) if W == 1 else (rep.N, W)
+    shape = (rep.N,) if W is None else (rep.N, W)
     val, f_prev, x0 = operands(rep, sr, shape, rng)
     act = active_set(rep, kind, rng)
-    if banded:
-        # One worker's row band: the active chunks plus some idle ones,
-        # with band-local output positions.
+    if band is not None:
+        act = act[np.isin(act, band)]
+    elif banded:
+        # One worker's row band: the active chunks plus some idle ones.
         extra = rng.choice(rep.nc, size=rep.nc // 4, replace=False)
         band = np.union1d(act, extra)
+    if banded:
+        # Band-local output positions.
         act_out = np.searchsorted(band, act)
         rows = (band[:, None] * C + np.arange(C)).ravel()
         x0 = x0[rows]
@@ -116,7 +126,7 @@ def sweep_both(layout_name, semiring, W, kind, banded, seed):
     got, want = x0.copy(), x0.copy()
     prof_got, prof_want = [], []
     args = (sr, C, rep.col64, val, rep.cs, rep.cl, f_prev)
-    sweep_band_layers(*args, got.reshape(nd), act, act_out, prof_got)
+    sweep_band_layers(*args, got.reshape(nd), act, act_out, prof_got, row64=rep.row64)
     reference_sweep(*args, want.reshape(nd), act, act_out, prof_want)
     return got, want, prof_got, prof_want
 
@@ -153,6 +163,38 @@ def test_real_sums_fold_in_layer_order(layout_name, W, kind):
     assert prof_got == prof_want
 
 
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+@pytest.mark.parametrize("W", [None, 1])
+@pytest.mark.parametrize("layout_name", ["slimsell-8", "sell-1-unsorted"])
+def test_one_column_runs_break_at_band_gaps(layout_name, semiring, W):
+    # Bands with holes, swept in shuffled order.  Without the isolated
+    # vertices' empty chunks, the unsorted layout's band has chunks whose
+    # slots abut while their band-local rows keep a different offset, so
+    # a run must break on the rows as well as on the slots.
+    rep = layout(layout_name)
+    nc = rep.nc
+    if layout_name == "sell-1-unsorted":
+        band = np.flatnonzero(rep.cl > 0)
+    else:
+        band = np.r_[0:3, 5 : nc // 2, nc // 2 + 7 : nc]
+    got, want, prof_got, prof_want = sweep_both(
+        layout_name, semiring, W, "unsorted", True, 11, band=band
+    )
+    assert_bitwise(got, want)
+    assert prof_got == prof_want
+
+
+def test_one_column_needs_a_contiguous_accumulator():
+    # reshape() of a strided view copies, which would drop every update.
+    rep = layout("slimsell-8")
+    sr = get_semiring("sel-max")
+    f_prev = np.ones((rep.N, 1))
+    x_nd = np.ones((rep.N, 2))[:, :1].reshape(rep.nc, rep.C, 1)
+    args = (sr, rep.C, rep.col64, rep.val_for(sr), rep.cs, rep.cl, f_prev)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        sweep_band_layers(*args, x_nd, np.arange(rep.nc), row64=rep.row64)
+
+
 def test_tail_spans_several_blocks():
     # The fixed layout must exercise what the tests above claim: a tail
     # past the head, folded in more than one block at the widest batch.
@@ -160,4 +202,18 @@ def test_tail_spans_several_blocks():
     scl = np.sort(rep.cl)[::-1]
     tail = int(scl[0] - scl[TAIL_LIVE - 1])
     assert tail > 0
-    assert tail * rep.C * max(WIDTHS) > 2 * TAIL_BLOCK
+    assert tail * rep.C * max(WIDTHS[1:]) > 2 * TAIL_BLOCK
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+@pytest.mark.parametrize("W", [None, 1, 3])
+def test_block_boundaries_fall_anywhere(monkeypatch, semiring, W):
+    # The scale-10 layout fits one-column runs in one block; a block of 999
+    # slots cuts runs mid-layer and mid-chunk, and tail blocks every few
+    # layers, without changing a bit.
+    monkeypatch.setattr(msbfs, "TAIL_BLOCK", 999)
+    got, want, prof_got, prof_want = sweep_both(
+        "slimsell-8", semiring, W, "all", False, 5
+    )
+    assert_bitwise(got, want)
+    assert prof_got == prof_want
