@@ -163,6 +163,11 @@ def _fold(add: np.ufunc, blk: np.ndarray) -> np.ndarray:
     return add.accumulate(blk, axis=0)[-1]
 
 
+def _live_chunks(scl: np.ndarray) -> np.ndarray:
+    """Chunks still live at each column layer, for lengths sorted descending."""
+    return np.searchsorted(-scl, -np.arange(int(scl[0])), side="left")
+
+
 def _fold_slot_runs(sr: SemiringBFS, C: int, col: np.ndarray,
                     val: np.ndarray, cs: np.ndarray, cl: np.ndarray,
                     f_prev: np.ndarray, x_nd: np.ndarray, chunks: np.ndarray,
@@ -187,8 +192,11 @@ def _fold_slot_runs(sr: SemiringBFS, C: int, col: np.ndarray,
     lo = cs[chunks]
     hi = lo + cl[chunks] * C
     shift = (chunks - out) * C
-    cut = np.flatnonzero((lo[1:] != hi[:-1]) | (shift[1:] != shift[:-1])) + 1
-    first, last = np.r_[0, cut], np.r_[cut, chunks.size] - 1
+    # brk[i]: chunk i starts a run (its slots do not begin where chunk
+    # i-1's end, or its rows sit at another offset); brk[n] closes the last.
+    brk = np.ones(chunks.size + 1, dtype=bool)
+    brk[1:-1] = (lo[1:] != hi[:-1]) | (shift[1:] != shift[:-1])
+    first, last = np.flatnonzero(brk[:-1]), np.flatnonzero(brk[1:])
     for s0, s1, d in zip(lo[first].tolist(), hi[last].tolist(),
                          shift[first].tolist()):
         for b0 in range(s0, s1, TAIL_BLOCK):
@@ -239,19 +247,22 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     """
     if act.size == 0:
         return
+    if x_nd[0].size == C:  # one frontier column: no layer walk
+        if profile is not None:
+            live = _live_chunks(np.sort(cl[act])[::-1])
+            profile.extend(enumerate(live.tolist()))
+        _fold_slot_runs(sr, C, col, val, cs, cl, f_prev, x_nd, act,
+                        act if act_out is None else act_out, row64)
+        return
     order = np.argsort(-cl[act], kind="stable")
     srt = act[order]
     out = srt if act_out is None else act_out[order]
     scl = cl[srt]
     base = cs[srt]
     max_l = int(scl[0])
-    live = np.searchsorted(-scl, -np.arange(max_l), side="left")
+    live = _live_chunks(scl)
     if profile is not None:
-        profile.extend(zip(range(max_l), live.tolist()))
-    if x_nd[0].size == C:
-        _fold_slot_runs(sr, C, col, val, cs, cl, f_prev, x_nd, srt, out,
-                        row64)
-        return
+        profile.extend(enumerate(live.tolist()))
     wide = x_nd.ndim == 3
     head = int(scl[TAIL_LIVE - 1]) if scl.size >= TAIL_LIVE else 0
     lane_off = np.arange(C, dtype=np.int64)
