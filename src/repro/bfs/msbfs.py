@@ -300,9 +300,10 @@ def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
     representation's memoized ``col64``/``row64``/``val_for`` caches, so
     repeated sweeps stream the same arrays.
 
-    Active chunks are sorted by descending length so the live set of each
-    successive column layer is a shrinking prefix; every gather/mul/add of
-    a layer then moves all W columns at once (the SpMM amortization).
+    With W >= 2, active chunks are sorted by descending length so the live
+    set of each successive column layer is a shrinking prefix; every
+    gather/mul/add of a layer then moves all W columns at once (the SpMM
+    amortization).  A single column is scattered run by run instead.
     The inner loop is :func:`sweep_band_layers` over the whole chunk range;
     the executed parallel backend (:mod:`repro.exec`) drives the same core
     over per-worker row bands.

@@ -254,14 +254,15 @@ class SellCSigma:
         Slot ``cs[i] + j·C + r`` holds an entry of row ``i·C + r``; the
         single-column sweep scatters whole slot runs through this map, and
         the weighted and 2D-distributed layouts read their rows from it.
+        Chunks are stored back to back, so the map is each chunk's first
+        row repeated over its slots plus the lane, built in place: no
+        temporary as large as the map itself.
         """
         r = self._row64
         if r is None:
-            chunk = np.repeat(np.arange(self.nc, dtype=np.int64),
-                              self.cl * self.C)
-            lane = (np.arange(chunk.size, dtype=np.int64)
-                    - self.cs[chunk]) % self.C
-            r = chunk * self.C + lane
+            C = self.C
+            r = np.repeat(np.arange(self.nc, dtype=np.int64) * C, self.cl * C)
+            r.reshape(-1, C)[...] += np.arange(C)
             self._row64 = r
         return r
 
