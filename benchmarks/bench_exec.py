@@ -14,7 +14,11 @@ backend (each shard timed alone, so per-shard attribution is clean).  It
 is the measured analogue of the dist model's local-phase scaling and is
 portable to a single-core CI host, where *wall-clock* parallel speedup
 is unmeasurable by construction — the threads backend's wall times are
-reported for reference but never gated.  Every run is checked
+reported for reference but never gated.  The W=1 row also reports
+``kernel_over_probe`` (its single-shard compute total over the
+same-process gather + ⊕ microkernel of ``_common.probe_seconds``), which
+sees the absolute kernel speed that the speedup ratios divide out.  Every
+run is checked
 bit-identical (distances and parents) to the plain batched engine before
 its timing is trusted, and the sweep ends by fitting the ``knl`` /
 ``cray-aries`` descriptors to the measured run (the calibration loop).
@@ -37,7 +41,7 @@ import time
 
 import numpy as np
 
-from _common import write_bench_json
+from _common import probe_seconds, write_bench_json
 
 from repro.bfs.msbfs import MultiSourceBFS
 from repro.dist.calibrate import calibrate
@@ -77,6 +81,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
 
     roots = sample_roots(graph, nroots, seed)
     expected = MultiSourceBFS(rep, "sel-max", slimwork=True).run(roots)
+    probe_s = probe_seconds()
 
     rows = []
     base_compute = None
@@ -90,7 +95,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
             if W != 1:
                 raise SystemExit("workers must include 1 (the baseline)")
             base_compute = compute_s
-        rows.append({
+        row = {
             "workers": W,
             "wall_s": wall_s,
             "compute_s": compute_s,
@@ -98,7 +103,10 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
             "exchange_s": sum(layer.t_exchange_s for layer in prof),
             "speedup_critical_path": base_compute / critical_s,
             "identical_to_msbfs": bool(_identical(results, expected)),
-        })
+        }
+        if W == 1:
+            row["kernel_over_probe"] = compute_s / probe_s
+        rows.append(row)
 
     threads_rows = []
     for W in sorted(set(workers)):
@@ -120,7 +128,7 @@ def run_sweep(scale: int, edgefactor: float, nroots: int,
             "n": graph.n, "m": graph.m, "nroots": int(roots.size),
             "seed": seed, "C": 16, "semiring": "sel-max", "slimwork": True,
             "representation": "slimsell", "backend": "serial",
-            "build_s": build_s,
+            "build_s": build_s, "probe_s": probe_s,
         },
         "workers": rows,
         "threads_wall": {

@@ -11,8 +11,8 @@ What is compared is deliberately machine-portable:
 
 * ``bench_msbfs_batch`` / ``bench_mshybrid`` — batching/direction speedup
   *ratios* (kernel-time quotients measured in the same process, so the
-  host's absolute speed divides out), plus each msbfs width's and the
-  B=1 hybrid's ``kernel_over_probe``: kernel seconds over a fixed
+  host's absolute speed divides out), plus each msbfs width's and each
+  hybrid point's ``kernel_over_probe``: kernel seconds over a fixed
   gather + ⊕ microkernel timed in the same process, which sees absolute
   kernel speed that the ratios divide out;
 * ``bench_dist_batch`` — the distributed model's ``modeled_total_s`` and
@@ -27,7 +27,8 @@ What is compared is deliberately machine-portable:
 * ``bench_exec`` — the executed backend's critical-path speedup *ratios*
   (slowest-shard vs single-shard compute seconds from the same process,
   machine-portable; the threads backend's wall clock is reported in the
-  artifact but never gated, since it tracks the host's core count);
+  artifact but never gated, since it tracks the host's core count), plus
+  the single-shard compute total's ``kernel_over_probe``;
 * ``bench_resilience`` — goodput/timeout/retry curves vs injected fault
   rate (virtual clock + seeded fault stream + modeled service times) and
   the dist tier's checkpoint-vs-recompute overhead ratios: fully
@@ -124,8 +125,8 @@ def _extract_mshybrid(payload: dict) -> list[Point]:
         )
         for r in payload["grid"]
     ]
-    # The B=1 hybrid's absolute speed: the numerator of its all-pull ratio,
-    # which a faster all-pull B=1 sweep moves on its own.
+    # Each hybrid point's absolute speed: the numerator of its all-pull
+    # ratio, which a faster all-pull sweep of the same width moves on its own.
     points.extend(
         Point(
             f"B={r['B']},alpha={r['alpha']:g}.kernel_over_probe",
@@ -134,7 +135,7 @@ def _extract_mshybrid(payload: dict) -> list[Point]:
             True,
         )
         for r in payload["grid"]
-        if r["B"] == 1 and "kernel_over_probe" in r
+        if "kernel_over_probe" in r
     )
     return points
 
@@ -320,7 +321,7 @@ def _extract_exec(payload: dict) -> list[Point]:
     # the same process, so the host's absolute speed divides out (and the
     # single-core CI host's inability to show wall-clock parallel speedup
     # does not matter — the threads wall times are never gated).
-    return [
+    points = [
         Point(
             f"W={r['workers']}.speedup_critical_path",
             r["speedup_critical_path"],
@@ -330,6 +331,19 @@ def _extract_exec(payload: dict) -> list[Point]:
         for r in payload["workers"]
         if r["workers"] != 1
     ]
+    # The single-shard compute total over the probe: the absolute speed
+    # of the denominator every ratio above shares.
+    points.extend(
+        Point(
+            f"W={r['workers']}.kernel_over_probe",
+            r["kernel_over_probe"],
+            "lower",
+            True,
+        )
+        for r in payload["workers"]
+        if "kernel_over_probe" in r
+    )
+    return points
 
 
 def _run_fig01_quick() -> dict:

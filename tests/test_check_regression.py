@@ -227,8 +227,9 @@ class TestBestPoints:
 
 class TestProbePoints:
     def test_probe_points_gate_absolute_kernel_speed(self, gate):
-        # The hybrid's B=1 points and every batched serve point carry a
-        # lower-is-better timing point next to their ratio.
+        # Every hybrid point, every batched serve point and the exec
+        # single-shard row carry a lower-is-better timing point next to
+        # their ratios.
         hybrid = {"grid": [
             {"B": B, "alpha": 8.0, "speedup_vs_allpull_same_B": 1.5,
              "kernel_over_probe": 40.0 * B}
@@ -237,10 +238,16 @@ class TestProbePoints:
             {"rate": "inf", "B": B, "speedup_vs_per_query": 2.0,
              "kernel_over_probe": 9.0}
             for B in (1, 8)]}
-        points = gate._extract_mshybrid(hybrid) + gate._extract_serve(serve)
+        exec_ = {"workers": [
+            {"workers": 1, "speedup_critical_path": 1.0,
+             "kernel_over_probe": 30.0},
+            {"workers": 2, "speedup_critical_path": 1.8}]}
+        points = (gate._extract_mshybrid(hybrid) + gate._extract_serve(serve)
+                  + gate._extract_exec(exec_))
         probes = [p for p in points if p.name.endswith("kernel_over_probe")]
         assert [p.name for p in probes] == [
-            "B=1,alpha=8.kernel_over_probe", "rate=inf,B=8.kernel_over_probe"]
+            "B=1,alpha=8.kernel_over_probe", "B=4,alpha=8.kernel_over_probe",
+            "rate=inf,B=8.kernel_over_probe", "W=1.kernel_over_probe"]
         assert all(p.direction == "lower" and p.timing for p in probes)
 
 
