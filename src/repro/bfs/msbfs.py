@@ -7,13 +7,15 @@ those traversals one at a time re-pays the per-layer gather indexing and all
 Python-level loop overhead once per source.
 
 :class:`MultiSourceBFS` instead carries a frontier **matrix** ``F`` of shape
-``(N, B)`` — one column per source — so each column layer of the chunked
-layout issues a single fancy-index gather ``f[col[idx]]`` and one semiring
-``mul``/``add`` for all ``B`` sources at once: an SpMM sweep instead of B
-separate SpMV sweeps.  The matrix operands (``col``, the derived ``val``)
-stream once per layer regardless of B, which is exactly the amortization
-the batched counter model (:func:`repro.bfs.spmv.synthesize_counters` with
-``batch=B``) accounts for.
+``(N, B)`` — one column per source — so each gather ``f[col[idx]]`` and
+each semiring ``mul``/``add`` of the sweep serves all ``B`` sources at
+once: an SpMM sweep instead of B separate SpMV sweeps.  The kernel
+(:func:`sweep_band_layers`) folds chunks of equal length together, a
+cache-sized block of their column layers at a time.  The matrix operands
+(``col``, the derived ``val``) stream once per sweep regardless of B,
+which is exactly the amortization the batched counter model
+(:func:`repro.bfs.spmv.synthesize_counters` with ``batch=B``) accounts
+for.
 
 Semantics are *bit-identical* to the single-source layer engine, per
 source:
@@ -138,10 +140,8 @@ def run_in_batches(engine, roots, batch: int | None) -> list[BFSResult]:
 # bookkeeping, so those pieces live here as functions.
 # ----------------------------------------------------------------------
 
-#: The head sweeps one vectorized step per layer while at least this many
-#: chunks are live; the tail finishes the (σ-sorted hub) chunks left.
-TAIL_LIVE = 8
-#: Elements per tail block (0.5 MB of float64), at any batch width.
+#: Elements per fold block, carry included (0.5 MB of float64, which fits
+#: in L2), at any batch width.
 TAIL_BLOCK = 1 << 16
 
 
@@ -152,15 +152,6 @@ def chunk_mask(settled: np.ndarray, C: int) -> np.ndarray:
     ``(N, W)`` gives one column per source, ``(nc, W)``.
     """
     return ~settled.reshape((-1, C) + settled.shape[1:]).all(axis=1)
-
-
-def _fold(add: np.ufunc, blk: np.ndarray) -> np.ndarray:
-    """⊕ over ``blk``'s rows strictly first to last, elementwise."""
-    if blk[0].size > 1:
-        return add.reduce(blk, axis=0)  # a leading axis reduces row by row
-    # A lone element per row makes the reduced axis innermost, which NumPy
-    # sums pairwise; accumulate is sequential by definition.
-    return add.accumulate(blk, axis=0)[-1]
 
 
 def _live_chunks(scl: np.ndarray) -> np.ndarray:
@@ -227,64 +218,65 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     ``(nb, C, 1)``) walks no layers: runs of active chunks with contiguous
     slots are ⊕-scattered into their rows through ``row64``, the
     representation's slot → padded-row map (:attr:`SellCSigma.row64`).
-    Wider batches sort chunks by descending length, so each layer's live
-    chunks are a shrinking prefix.  The head advances every live chunk one
-    layer per vectorized step while :data:`TAIL_LIVE` or more are live;
-    the tail finishes the few (hub) chunks left from their contiguous
-    column-major slots, :data:`TAIL_BLOCK` elements at a time, folding
-    each block behind the chunk's carry with one ⊕ reduction over its
-    leading axis.  Every path accumulates each chunk's rows over only
-    their own layers, in ascending order (so the real semiring's float
-    sums round exactly as a per-layer loop's), reading nothing but the
-    fixed ``f_prev`` — so sweeping ``act`` band by band is bit-identical
-    to one global sweep, for any partition.
+    Wider batches split the active chunks into groups of equal length and
+    fold each group in blocks ``(layers + 1, chunks, C, W)`` of at most
+    :data:`TAIL_BLOCK` elements: one gather of ``f_prev`` rows into
+    ``blk[1:]``, one in-place ⊗ and one ⊕ reduction over the leading axis
+    with the chunks' carry in ``blk[0]``.  The carry chains across a
+    group's layer blocks and is written back once per chunk block.  A
+    leading-axis reduction adds row after row, and exact lengths keep
+    padding out of it (even the ⊕ identity is not bit-neutral: −0.0 + 0.0
+    is +0.0).  Every path accumulates each chunk's rows over only their
+    own layers, in ascending order (so the real semiring's float sums
+    round exactly as a per-layer loop's), reading nothing but the fixed
+    ``f_prev`` — so sweeping ``act`` band by band is bit-identical to one
+    global sweep, for any partition.
 
     ``profile`` (optional) is the per-layer profiling hook: when a list is
     passed, one ``(j, live_n)`` pair is appended per column layer swept —
-    layer index and the number of chunks still live at that depth, tail
-    layers included — the shape the tracing engines attach to their layer
-    spans.
+    layer index and the number of chunks at least ``j + 1`` layers long —
+    the shape the tracing engines attach to their layer spans.
     """
     if act.size == 0:
         return
+    if profile is not None:
+        live = _live_chunks(np.sort(cl[act])[::-1])
+        profile.extend(enumerate(live.tolist()))
     if x_nd[0].size == C:  # one frontier column: no layer walk
-        if profile is not None:
-            live = _live_chunks(np.sort(cl[act])[::-1])
-            profile.extend(enumerate(live.tolist()))
         _fold_slot_runs(sr, C, col, val, cs, cl, f_prev, x_nd, act,
                         act if act_out is None else act_out, row64)
         return
     order = np.argsort(-cl[act], kind="stable")
     srt = act[order]
     out = srt if act_out is None else act_out[order]
-    scl = cl[srt]
-    base = cs[srt]
-    max_l = int(scl[0])
-    live = _live_chunks(scl)
-    if profile is not None:
-        profile.extend(enumerate(live.tolist()))
-    wide = x_nd.ndim == 3
-    head = int(scl[TAIL_LIVE - 1]) if scl.size >= TAIL_LIVE else 0
-    lane_off = np.arange(C, dtype=np.int64)
-    for j, live_n in enumerate(live[:head].tolist()):
-        idx = (base[:live_n] + j * C)[:, None] + lane_off  # (L, C)
-        vals = val[idx][..., None] if wide else val[idx]
-        contrib = sr.mul(vals, f_prev[col[idx]])
-        rows = out[:live_n]
-        x_nd[rows] = sr.add(x_nd[rows], contrib)
-    step = max(1, TAIL_BLOCK // x_nd[0].size - 1)  # layers per tail block
-    for t in range(int(live[head]) if head < max_l else 0):
-        carry, end = x_nd[out[t]], int(scl[t])
-        for j0 in range(head, end, step):
-            j1 = min(j0 + step, end)
-            slots = slice(int(base[t]) + j0 * C, int(base[t]) + j1 * C)
-            blk = np.empty((j1 - j0 + 1,) + x_nd.shape[1:], dtype=x_nd.dtype)
-            blk[0] = carry
-            v = val[slots].reshape(j1 - j0, C)
-            g = f_prev[col[slots]].reshape(blk[1:].shape)
-            sr.mul(v[..., None] if wide else v, g, out=blk[1:])
-            carry = _fold(sr.add, blk)
-        x_nd[out[t]] = carry
+    scl, base = cl[srt], cs[srt, None]
+    lay = np.arange(int(scl[0]) * C).reshape(-1, C)  # layer j's slot offsets
+    cell = x_nd.shape[1:]  # one chunk layer, (C, W)
+    per = max(2, TAIL_BLOCK // x_nd[0].size)  # chunk layers per block
+    buf = np.empty((per,) + cell, dtype=x_nd.dtype)
+    cut = (np.flatnonzero(scl[1:] != scl[:-1]) + 1).tolist()
+    for g0, g1 in zip([0, *cut], [*cut, scl.size]):
+        n_l = int(scl[g0])
+        if n_l == 0:  # zero-length chunks sort last
+            break
+        step = min(n_l, per - 1)  # layers per block, after the carry
+        nch = per // (step + 1)  # chunks per block
+        for c0 in range(g0, g1, nch):
+            c1 = min(c0 + nch, g1)
+            rows = out[c0:c1]
+            for j0 in range(0, n_l, step):
+                j1 = min(j0 + step, n_l)
+                blk = buf[:(j1 - j0 + 1) * (c1 - c0)].reshape(
+                    (j1 - j0 + 1, c1 - c0) + cell)
+                blk[0] = carry if j0 else x_nd[rows]
+                idx = lay[j0:j1, None] + base[c0:c1]  # (layers, chunks, C)
+                # mode="wrap" writes straight into out= (the default mode
+                # buffers it) and maps SlimSell's −1 marker to row N−1,
+                # exactly as fancy indexing does.
+                np.take(f_prev, col[idx], axis=0, out=blk[1:], mode="wrap")
+                sr.mul(val[idx][..., None], blk[1:], out=blk[1:])
+                carry = sr.add.reduce(blk, axis=0)
+            x_nd[rows] = carry
 
 
 def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
@@ -300,10 +292,10 @@ def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
     representation's memoized ``col64``/``row64``/``val_for`` caches, so
     repeated sweeps stream the same arrays.
 
-    With W >= 2, active chunks are sorted by descending length so the live
-    set of each successive column layer is a shrinking prefix; every
-    gather/mul/add of a layer then moves all W columns at once (the SpMM
-    amortization).  A single column is scattered run by run instead.
+    With W >= 2, active chunks of equal length are folded together in
+    cache-sized blocks; every gather/mul/add of a block moves all W
+    columns at once (the SpMM amortization).  A single column is
+    scattered run by run instead.
     The inner loop is :func:`sweep_band_layers` over the whole chunk range;
     the executed parallel backend (:mod:`repro.exec`) drives the same core
     over per-worker row bands.
@@ -526,8 +518,8 @@ class MultiSourceBFS:
         result here — everything else in :meth:`_sweep` (SlimWork masks,
         postprocess, termination, stats) is shared verbatim.
         """
-        # Carry: inactive chunks keep their columns.  The sweep is a
-        # shrinking-prefix pass moving all live columns per gather.
+        # Carry: inactive chunks keep their columns.  Every gather of the
+        # sweep moves all live columns at once.
         x_raw = f_prev.copy()
         profile = [] if self._layer_span is not None else None
         spmm_layer_sweep(self.rep, self.semiring, f_prev, x_raw, act,

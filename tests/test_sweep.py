@@ -8,7 +8,7 @@ tests hold the kernel's raw accumulator, bit for bit, and its ``profile=``
 record to the per-layer loop below: one vectorized step per column layer,
 each chunk's contributions added in ascending layer order.  A single
 frontier column takes the kernel's run-scatter path, two or more its
-head/tail path; the widths below cover both.
+equal-length group fold; the widths below cover both.
 """
 
 from functools import cache
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bfs import msbfs
-from repro.bfs.msbfs import TAIL_BLOCK, TAIL_LIVE, sweep_band_layers
+from repro.bfs.msbfs import TAIL_BLOCK, sweep_band_layers
 from repro.formats.sell import SellCSigma
 from repro.formats.slimsell import SlimSell
 from repro.graphs.kronecker import kronecker
@@ -156,8 +156,8 @@ def test_kernel_matches_per_layer_loop(layout_name, semiring, W, kind, banded, s
 @pytest.mark.parametrize("W", WIDTHS)
 @pytest.mark.parametrize("kind", ["hub", "all"])
 def test_real_sums_fold_in_layer_order(layout_name, W, kind):
-    # Every width and both fold paths (C·W = 1 and > 1), with the hub's
-    # tail long enough to span several blocks at W = 64.
+    # Every width and both paths (C·W = C and > C), with the hub's layers
+    # spanning several blocks at W = 64.
     got, want, prof_got, prof_want = sweep_both(layout_name, "real", W, kind, False, 7)
     assert_bitwise(got, want)
     assert prof_got == prof_want
@@ -195,22 +195,36 @@ def test_one_column_needs_a_contiguous_accumulator():
         sweep_band_layers(*args, x_nd, np.arange(rep.nc), row64=rep.row64)
 
 
-def test_tail_spans_several_blocks():
-    # The fixed layout must exercise what the tests above claim: a tail
-    # past the head, folded in more than one block at the widest batch.
+def group_blocks(rep, W, block):
+    """Chunk blocks and layer blocks of each equal-length group of ``rep``
+    at width ``W``, with the kernel's geometry for a ``block``-element
+    block, and each group's chunk count."""
+    per = max(2, block // (rep.C * W))
+    n_l, count = np.unique(rep.cl[rep.cl > 0], return_counts=True)
+    step = np.minimum(n_l, per - 1)
+    return -(-count // (per // (step + 1))), -(-n_l // step), count
+
+
+def test_layout_spans_several_blocks():
+    # The fixed layout must exercise what the tests above claim: a group
+    # of several equal-length chunks, split over several chunk blocks at
+    # W = 64 once a block holds 999 elements, and a hub whose layers span
+    # three or more blocks at W = 64 and the default block.
     rep = layout("slimsell-8")
-    scl = np.sort(rep.cl)[::-1]
-    tail = int(scl[0] - scl[TAIL_LIVE - 1])
-    assert tail > 0
-    assert tail * rep.C * max(WIDTHS[1:]) > 2 * TAIL_BLOCK
+    chunk_blocks, _, count = group_blocks(rep, 64, 999)
+    assert count.max() >= 2
+    assert chunk_blocks.max() >= 2
+    _, layer_blocks, _ = group_blocks(rep, 64, TAIL_BLOCK)
+    assert layer_blocks.max() >= 3
 
 
 @pytest.mark.parametrize("semiring", SEMIRINGS)
-@pytest.mark.parametrize("W", [None, 1, 3])
+@pytest.mark.parametrize("W", [None, 1, 3, 16, 64])
 def test_block_boundaries_fall_anywhere(monkeypatch, semiring, W):
-    # The scale-10 layout fits one-column runs in one block; a block of 999
-    # slots cuts runs mid-layer and mid-chunk, and tail blocks every few
-    # layers, without changing a bit.
+    # At the default block the scale-10 layout fits one-column runs in one
+    # block and every equal-length group in one chunk block; a block of 999
+    # elements cuts runs mid-layer and mid-chunk, and groups every few
+    # chunks and layers, without changing a bit.
     monkeypatch.setattr(msbfs, "TAIL_BLOCK", 999)
     got, want, prof_got, prof_want = sweep_both(
         "slimsell-8", semiring, W, "all", False, 5
