@@ -116,7 +116,12 @@ class SemiringBFS(ABC):
 
         def stack(attr: str) -> np.ndarray | None:
             cols = [getattr(s, attr) for s in states]
-            return None if cols[0] is None else np.stack(cols, axis=1)
+            if cols[0] is None:
+                return None
+            # Stack rows contiguously, then one transposing copy into
+            # C-order (N, B): cheaper than stacking along axis 1, whose
+            # writes stride by B.
+            return np.ascontiguousarray(np.stack(cols).T)
 
         st = BFSState(f=stack("f"), d=stack("d"), n=n, N=N,
                       root=int(roots[0]), g=stack("g"), p=stack("p"))
