@@ -18,10 +18,10 @@ reported for reference but never gated.  The W=1 row also reports
 ``kernel_over_probe`` (its single-shard compute total over the
 same-process gather + ⊕ microkernel of ``_common.probe_seconds``), which
 sees the absolute kernel speed that the speedup ratios divide out.  Every
-run is checked
-bit-identical (distances and parents) to the plain batched engine before
-its timing is trusted, and the sweep ends by fitting the ``knl`` /
-``cray-aries`` descriptors to the measured run (the calibration loop).
+run is checked bit-identical (distances and parents) to the plain batched
+engine before its timing is trusted, and the sweep ends by fitting the
+``knl`` / ``cray-aries`` descriptors to the measured run (the calibration
+loop).
 
 Standalone script (not a pytest bench): results go to an ASCII table on
 stdout and a JSON file (default ``BENCH_exec.json`` in the current

@@ -156,8 +156,8 @@ def test_kernel_matches_per_layer_loop(layout_name, semiring, W, kind, banded, s
 @pytest.mark.parametrize("W", WIDTHS)
 @pytest.mark.parametrize("kind", ["hub", "all"])
 def test_real_sums_fold_in_layer_order(layout_name, W, kind):
-    # Every width and both paths (C·W = C and > C), with the hub's layers
-    # spanning several blocks at W = 64.
+    # Every width, so both paths, with the hub's layers spanning several
+    # blocks at W = 64.
     got, want, prof_got, prof_want = sweep_both(layout_name, "real", W, kind, False, 7)
     assert_bitwise(got, want)
     assert prof_got == prof_want
