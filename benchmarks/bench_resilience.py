@@ -69,11 +69,12 @@ QUICK = {
     "checkpoint_intervals": [None, 1, 4],
 }
 
-def service_model(width: int) -> float:
-    """Virtual kernel seconds for a width-w batch: a base dispatch cost
-    plus a per-column term.  Close enough to the real engines' shape for
-    the batching dynamics while making every completion time exact."""
-    return 5e-4 + 1e-4 * width
+def service_model(roots) -> float:
+    """Virtual kernel seconds for a batch of ``roots`` (the dispatched
+    int64 root array): a base dispatch cost plus a per-column term.
+    Close enough to the real engines' shape for the batching dynamics
+    while making every completion time exact."""
+    return 5e-4 + 1e-4 * roots.size
 
 
 def run_serve_sweep(rep, pool, nqueries: int, zipf: float, rate: float,

@@ -25,7 +25,7 @@ single-root queries.  This subsystem is the layer between the two:
   front-end awaiting per-query futures;
 * :class:`~repro.serve.engines.EnginePool` — width-driven engine
   selection (direction-optimizing hybrid for narrow batches, all-pull
-  SpMM for wide ones), pluggable via ``strategy=``;
+  SpMM for wide ones, split at ``hybrid_max_width``);
 * :mod:`~repro.serve.workload` — closed-loop and open-loop (Poisson
   arrivals, Zipfian roots) generators driving the server on a virtual
   arrival clock;

@@ -1,4 +1,4 @@
-"""Pluggable engine selection for the serving layer.
+"""Width-driven engine selection for the serving layer.
 
 A released :class:`~repro.serve.batcher.Batch` can run on either batched
 engine, and which one wins depends on the batch width the traffic
@@ -8,10 +8,9 @@ widths (6.3× over all-pull at B=1, best point around B=16), while the
 all-pull SpMM sweep of :class:`~repro.bfs.msbfs.MultiSourceBFS` keeps
 scaling past it at wide batches, where the shared pull sweep amortizes
 best.  :class:`EnginePool` encodes that policy as a width threshold
-(``hybrid_max_width``), keeps one engine instance per (semiring, kind) so
-repeated batches reuse the representation's memoized operands, and is the
-single seam to swap policies: pass ``strategy=`` any
-``(width) -> "msbfs" | "mshybrid"`` callable.
+(``hybrid_max_width``, applied by :func:`default_strategy`) and keeps one
+engine instance per (semiring, kind) so repeated batches reuse the
+representation's memoized operands.
 
 Both engines are differential-tested bit-identical through
 ``tests/engines.py``'s oracle, so the policy only moves *work*, never
@@ -20,15 +19,11 @@ answers.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.bfs.msbfs import MultiSourceBFS
 from repro.bfs.mshybrid import MultiSourceHybridBFS
 from repro.formats.sell import SellCSigma
 
-__all__ = ["ENGINE_NAMES", "EnginePool", "default_strategy"]
-
-ENGINE_NAMES = ("msbfs", "mshybrid")
+__all__ = ["EnginePool", "default_strategy"]
 
 #: Widths at or below this run the direction-optimizing engine by default.
 DEFAULT_HYBRID_MAX_WIDTH = 16
@@ -51,38 +46,23 @@ class EnginePool:
         Beamer push/pull threshold for the hybrid engine.
     slimwork:
         §III-C chunk skipping (both engines).
-    strategy:
-        ``(width) -> engine name``; defaults to :func:`default_strategy`
-        with ``hybrid_max_width``.
     hybrid_max_width:
-        Threshold of the default strategy (ignored when ``strategy`` is
-        passed explicitly).
+        Threshold of :func:`default_strategy`: batches this wide or
+        narrower run the hybrid engine.
     """
 
     def __init__(self, rep: SellCSigma, *, alpha: float = 14.0,
                  slimwork: bool = True,
-                 strategy: Callable[[int], str] | None = None,
                  hybrid_max_width: int = DEFAULT_HYBRID_MAX_WIDTH):
         self.rep = rep
         self.alpha = float(alpha)
         self.slimwork = bool(slimwork)
-        if strategy is None:
-            strategy = lambda width: default_strategy(  # noqa: E731
-                width, hybrid_max_width=hybrid_max_width)
-        self.strategy = strategy
+        self.hybrid_max_width = hybrid_max_width
         self._engines: dict[tuple[str, str], object] = {}
-
-    def select(self, width: int) -> str:
-        """Engine name for a batch of ``width`` columns (validated)."""
-        name = self.strategy(width)
-        if name not in ENGINE_NAMES:
-            raise ValueError(f"strategy returned {name!r}; expected one of "
-                             f"{ENGINE_NAMES}")
-        return name
 
     def engine_for(self, semiring: str, width: int):
         """``(engine_name, engine)`` to run a batch of ``width`` columns."""
-        name = self.select(width)
+        name = default_strategy(width, hybrid_max_width=self.hybrid_max_width)
         key = (name, semiring)
         engine = self._engines.get(key)
         if engine is None:

@@ -16,7 +16,7 @@ checkpoints, and recovery).  This module connects them:
   dispatched subset of roots can be reconstructed exactly without
   re-running a kernel;
 * :class:`DistServiceModel` — a ``roots -> seconds`` callable for
-  ``Server(batch_service_model=...)``: reconstructs the dispatched
+  ``Server(service_model=...)``: reconstructs the dispatched
   batch's union schedule from the cache, profiles it with
   :func:`~repro.dist.bfs1d.profile_1d` (homogeneous or per-rank
   heterogeneous machines), and charges fault overhead through
@@ -155,7 +155,7 @@ class SweepCache:
 class DistServiceModel:
     """``roots -> modeled seconds`` of one batched sweep on a 1D cluster.
 
-    Plugs into ``Server(batch_service_model=...)``: every dispatched
+    Plugs into ``Server(service_model=...)``: every dispatched
     batch is charged what :func:`repro.dist.bfs1d.bfs_dist_1d` would
     model for the same roots in one sweep — slowest-rank local SpMM at
     the live width per union layer (heterogeneous per-rank machines
@@ -358,7 +358,7 @@ def _evaluate_cell(
         max_batch=max_batch,
         max_wait=max_wait,
         cache_size=cache_size,
-        batch_service_model=model,
+        service_model=model,
         tracer=tracer,
     )
     server.pool = ReplayEnginePool(cache)

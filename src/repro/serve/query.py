@@ -159,9 +159,10 @@ class Ticket:
     resolved exactly once, by exactly one of: the cache-hit fast path, a
     rejection on entry (backpressure or breaker shed), a stale serve, or
     its batch's completion fan-out (served / timeout / failed — including
-    batches that fail).  :meth:`_resolve` enforces the "at most once" half
-    by raising on a second call; the server's dispatch paths provide the
-    "at least once" half, which the chaos property test pins.
+    batches that fail), each through ``Server._finish``.  :meth:`_resolve`
+    enforces the "at most once" half by raising on a second call; the
+    server's dispatch paths provide the "at least once" half, which the
+    chaos property test pins.
     """
 
     query: Query

@@ -197,12 +197,13 @@ class ServeStats:
     def kernel_throughput(self) -> float:
         """Kernel-resolved queries per *useful* kernel second.
 
-        Excludes cache hits from the numerator and wasted kernel seconds
-        (batches whose every waiter timed out) from the denominator, so
-        the metric stays a goodput rate under fault injection instead of
-        silently deflating.
+        Excludes cache hits and stale serves (both answered from the
+        cache) from the numerator and wasted kernel seconds (batches
+        whose every waiter timed out) from the denominator, so the metric
+        stays a goodput rate under fault injection instead of silently
+        deflating.
         """
-        kernel_served = self.served - self.cache_hits
+        kernel_served = self.served - self.cache_hits - self.stale_serves
         useful = self.kernel_s - self.kernel_s_wasted
         return kernel_served / useful if useful > 0 else 0.0
 
@@ -285,7 +286,7 @@ class Server:
         would need a *new* column beyond it is rejected.  Duplicates of
         an outstanding root attach to its MSHR entry for free and are
         never rejected.  ``None`` (default) = unbounded.
-    alpha / slimwork / strategy / hybrid_max_width:
+    alpha / slimwork / hybrid_max_width:
         Engine-selection knobs, see :class:`EnginePool`.
     clock:
         The time source for defaulted ``now`` values
@@ -318,18 +319,14 @@ class Server:
         of rejecting; also keeps cache entries across
         :meth:`invalidate` so there is something stale to serve.
     service_model:
-        Optional ``width -> seconds`` callable replacing the *measured*
-        kernel time on the virtual timeline (the engine still runs for
-        real answers).  Makes completion times — hence timeouts, breaker
-        cooldowns, goodput — deterministic for tests and benchmarks.
-    batch_service_model:
         Optional ``roots -> seconds`` callable (``roots`` the dispatched
-        batch's int64 root array) replacing the measured kernel time with
-        a cost computed from the *actual batch composition*, not just its
-        width.  This is the capacity planner's seam
-        (:class:`~repro.serve.plan.DistServiceModel` charges each batch
-        the distributed model's union-sweep time); mutually exclusive
-        with ``service_model``.
+        batch's int64 root array) replacing the *measured* kernel time on
+        the virtual timeline (the engine still runs for real answers).
+        Makes completion times — hence timeouts, breaker cooldowns,
+        goodput — deterministic for tests and benchmarks, and prices each
+        batch from its actual composition: the capacity planner's
+        :class:`~repro.serve.plan.DistServiceModel` plugs in here to
+        charge the distributed model's union-sweep time.
     tracer:
         A :class:`~repro.obs.trace.Tracer` collecting the span tree of
         every accepted query (root ``serve.query`` per ticket,
@@ -345,21 +342,14 @@ class Server:
                  max_wait: float = 2e-3, cache_size: int = 1024,
                  max_pending: int | None = None, alpha: float = 14.0,
                  slimwork: bool = True,
-                 strategy: Callable[[int], str] | None = None,
                  hybrid_max_width: int = DEFAULT_HYBRID_MAX_WIDTH,
                  clock: Callable[[], float] = time.perf_counter,
                  faults: FaultPlan | FaultInjector | None = None,
                  max_retries: int = 2, retry_backoff: float = 1e-3,
                  breaker: CircuitBreaker | None = None,
                  serve_stale: bool = False,
-                 service_model: Callable[[int], float] | None = None,
-                 batch_service_model: Callable[[np.ndarray], float] | None
-                 = None,
+                 service_model: Callable[[np.ndarray], float] | None = None,
                  tracer: Tracer | None = None):
-        if service_model is not None and batch_service_model is not None:
-            raise ValueError(
-                "service_model and batch_service_model are mutually "
-                "exclusive: one virtual timeline per server")
         if max_pending is not None and max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1 or None, got {max_pending}")
@@ -379,7 +369,6 @@ class Server:
         self.cache = ResultCache(capacity=cache_size)
         self.mshr = MissStatusRegistry()
         self.pool = EnginePool(self.rep, alpha=alpha, slimwork=slimwork,
-                               strategy=strategy,
                                hybrid_max_width=hybrid_max_width)
         self.max_pending = max_pending
         self.clock = clock
@@ -400,7 +389,6 @@ class Server:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.serve_stale = serve_stale
         self.service_model = service_model
-        self.batch_service_model = batch_service_model
         #: The configured width trigger, restored when the breaker closes
         #: (opens halve ``batcher.max_batch`` to drain faster).
         self._configured_max_batch = max_batch
@@ -544,20 +532,11 @@ class Server:
             cached = None
         if cached is not None:
             self.cache.record_hit()
-            self.stats.cache_hits += 1
-            self.stats.served += 1
-            self.stats.cache_latencies.append(0.0)
-            qr = QueryResult(
+            self._finish(ticket, QueryResult(
                 query=query, status="served",
                 value=self._reduce(query, cached, key),
-                bfs=cached, cache_hit=True)
-            if tracer is not None:
-                tracer.record("serve.cache.hit", now, now,
-                              parent=ticket.span)
-                tracer.end(ticket.span, t=now, status="served",
-                           cache_hit=True)
-                qr.span = ticket.span
-            ticket._resolve(qr)
+                bfs=cached, cache_hit=True), now,
+                ("serve.cache.hit", now, now, {}), cache_hit=True)
             return ticket
 
         entry = self.mshr.lookup(key)
@@ -572,58 +551,44 @@ class Server:
                 tracer.record("serve.mshr.attach", now, now,
                               parent=ticket.span, state=entry.state)
             if entry.state == "inflight":
-                self._resolve_inflight(entry, ticket)
+                # The batch already dispatched: the answer exists from
+                # its virtual completion, so latency is completion −
+                # submit (never the impossible 0.0 of an early hit).
+                qr = self._answer(entry, ticket)
+                kspan = entry.kernel_span
+                self._finish(
+                    ticket, qr, entry.completion, mshr_hit=True,
+                    kernel_span=None if kspan is None else kspan.span_id,
+                    latency_s=qr.latency_s)
             return ticket
 
         if not self.breaker.allow(now):
             # Breaker open: degrade instead of queueing doomed kernel
             # work.  A prior-epoch cache entry (when configured) beats
             # refusing outright; either way no new column is paid for.
-            if self.serve_stale:
-                stale = self.cache.peek_stale(semiring, query.root,
-                                              self.epoch)
-                if stale is not None:
-                    stale_key, stale_res = stale
-                    self.cache.record_hit()
-                    self.stats.stale_serves += 1
-                    self.stats.served += 1
-                    self.stats.cache_latencies.append(0.0)
-                    qr = QueryResult(
-                        query=query, status="served",
-                        value=self._reduce(query, stale_res, stale_key),
-                        bfs=stale_res, cache_hit=True, stale=True)
-                    if tracer is not None:
-                        tracer.record("serve.cache.stale", now, now,
-                                      parent=ticket.span)
-                        tracer.end(ticket.span, t=now, status="served",
-                                   stale=True)
-                        qr.span = ticket.span
-                    ticket._resolve(qr)
-                    return ticket
+            stale = (self.cache.peek_stale(semiring, query.root, self.epoch)
+                     if self.serve_stale else None)
+            if stale is not None:
+                stale_key, stale_res = stale
+                self.cache.record_hit()
+                self._finish(ticket, QueryResult(
+                    query=query, status="served",
+                    value=self._reduce(query, stale_res, stale_key),
+                    bfs=stale_res, cache_hit=True, stale=True), now,
+                    ("serve.cache.stale", now, now, {}), stale=True)
+                return ticket
             self.cache.record_rejected_lookup()
-            self.stats.rejected += 1
-            self.stats.sheds += 1
-            qr = Rejected(query, reason="shed")
-            if tracer is not None:
-                tracer.record("serve.shed", now, now, parent=ticket.span)
-                tracer.end(ticket.span, t=now, status="rejected",
-                           reason="shed")
-                qr.span = ticket.span
-            ticket._resolve(qr)
+            self._finish(ticket, Rejected(query, reason="shed"), now,
+                         ("serve.shed", now, now, {}), reason="shed")
             return ticket
 
         if (self.max_pending is not None
                 and self.batcher.pending_queries >= self.max_pending):
             self.cache.record_rejected_lookup()
-            self.stats.rejected += 1
-            qr = Rejected(query)
-            if tracer is not None:
-                tracer.record("serve.reject", now, now, parent=ticket.span,
-                              reason="backpressure")
-                tracer.end(ticket.span, t=now, status="rejected",
-                           reason="backpressure")
-                qr.span = ticket.span
-            ticket._resolve(qr)
+            self._finish(ticket, Rejected(query), now,
+                         ("serve.reject", now, now,
+                          {"reason": "backpressure"}),
+                         reason="backpressure")
             return ticket
 
         self.cache.record_miss()
@@ -718,10 +683,8 @@ class Server:
                 engine_spans = tracer.spans[mark:]
                 measured = kernel
             break
-        if self.batch_service_model is not None:
-            kernel = self.batch_service_model(batch.roots)
-        elif self.service_model is not None:
-            kernel = self.service_model(batch.width)
+        if self.service_model is not None:
+            kernel = self.service_model(batch.roots)
         if self.faults is not None:
             kernel *= self.faults.straggler()
         completion = start + delay + kernel
@@ -734,7 +697,8 @@ class Server:
         if self.breaker.record_success():
             st.breaker_closes += 1
             self.batcher.max_batch = self._configured_max_batch
-        bspan = kspan = None
+        kspan = None
+        links = {}  # the waiters' root-span links to this batch
         if tracer is not None:
             bspan = tracer.begin(
                 "serve.batch", t=start, track="server",
@@ -761,61 +725,27 @@ class Server:
                     if s.t_end is not None:
                         s.t_end = kstart + (s.t_end - t0) * scale
             tracer.end(bspan, t=completion)
+            links = {"batch_span": bspan.span_id,
+                     "kernel_span": kspan.span_id}
         out: list[QueryResult] = []
-        batch_served = 0
         for j, res in enumerate(results):
             entry = self._entry_for(batch, j)
             self.mshr.dispatch(entry, res, completion, batch.width, name)
-            if tracer is not None:
-                entry.kernel_span = kspan
-            nwaiters = len(entry.waiters)
+            entry.kernel_span = kspan
             for i, ticket in enumerate(entry.waiters):
-                latency = completion - ticket.submitted_at
-                if (ticket.deadline_at is not None
-                        and completion > ticket.deadline_at):
-                    # Too late to be useful for *this* ticket; the
-                    # traversal is still cached for future queries.
-                    qr = TimedOut(ticket.query, latency_s=latency)
-                    st.timeouts += 1
-                else:
-                    qr = QueryResult(
-                        query=ticket.query, status="served",
-                        value=self._reduce(ticket.query, res, entry.key),
-                        bfs=res, mshr_hit=i > 0, waiters=nwaiters,
-                        batch_width=batch.width, engine=name,
-                        latency_s=latency)
-                    st.served += 1
-                    batch_served += 1
-                    st.latencies.append(latency)
-                if tracer is not None:
-                    self._trace_finish(ticket, qr, start, completion,
-                                       bspan, kspan, mshr_hit=i > 0)
-                ticket._resolve(qr)
+                qr = self._answer(entry, ticket)
+                queued = (("serve.queue", ticket.submitted_at, start, {})
+                          if start > ticket.submitted_at else None)
+                self._finish(ticket, qr, completion, queued, mshr_hit=i > 0,
+                             **links, engine=qr.engine,
+                             latency_s=qr.latency_s)
                 out.append(qr)
-        if batch_served == 0:
+        if not any(qr.status == "served" for qr in out):
             # Every waiter missed its deadline: the batch's kernel time
             # produced no served answer (goodput-wasted, though the
             # results are still cached for future queries).
             st.kernel_s_wasted += kernel
         return out
-
-    def _trace_finish(self, ticket: Ticket, qr: QueryResult, start: float,
-                      completion: float, batch_span, kernel_span, *,
-                      mshr_hit: bool) -> None:
-        """Close one waiter's root span at its batch's completion time,
-        linking it to the batch/kernel spans that answered it (and
-        recording the queueing wait, when there was one)."""
-        span = ticket.span
-        if span is None:
-            return
-        if start > ticket.submitted_at:
-            self.tracer.record("serve.queue", ticket.submitted_at, start,
-                               parent=span)
-        self.tracer.end(
-            span, t=completion, status=qr.status, mshr_hit=mshr_hit,
-            batch_span=batch_span.span_id, kernel_span=kernel_span.span_id,
-            engine=qr.engine, latency_s=qr.latency_s)
-        qr.span = span
 
     def _fail_batch(self, batch: Batch, completion: float,
                     exc: BaseException) -> list[QueryResult]:
@@ -834,12 +764,7 @@ class Server:
             for ticket in entry.waiters:
                 qr = Failed(ticket.query, error=str(exc) or repr(exc),
                             latency_s=completion - ticket.submitted_at)
-                if self.tracer is not None and ticket.span is not None:
-                    self.tracer.end(ticket.span, t=completion,
-                                    status="failed", latency_s=qr.latency_s)
-                    qr.span = ticket.span
-                ticket._resolve(qr)
-                st.failed += 1
+                self._finish(ticket, qr, completion, latency_s=qr.latency_s)
                 out.append(qr)
             self.mshr.abort(entry)
         if self.breaker.record_failure(completion):
@@ -868,34 +793,61 @@ class Server:
                 self.mshr.attach(entry, t)
         return entry
 
-    def _resolve_inflight(self, entry: MSHREntry, ticket: Ticket) -> None:
-        """Resolve a waiter that attached after its batch dispatched: the
-        answer exists from the batch's virtual completion, so latency is
-        completion − submit (never the impossible 0.0 of a premature
-        cache hit).  A deadline earlier than that completion resolves
-        :class:`TimedOut` instead."""
+    def _answer(self, entry: MSHREntry, ticket: Ticket) -> QueryResult:
+        """What a waiter on the dispatched ``entry`` gets: its traversal,
+        answered at the batch's virtual completion, or :class:`TimedOut`
+        when that completion is past the ticket's deadline (too late to
+        be useful for *this* ticket; the traversal is still cached for
+        future queries)."""
         latency = entry.completion - ticket.submitted_at
         if (ticket.deadline_at is not None
                 and entry.completion > ticket.deadline_at):
-            qr = TimedOut(ticket.query, latency_s=latency)
-            self.stats.timeouts += 1
+            return TimedOut(ticket.query, latency_s=latency)
+        return QueryResult(
+            query=ticket.query, status="served",
+            value=self._reduce(ticket.query, entry.result, entry.key),
+            bfs=entry.result, mshr_hit=ticket is not entry.waiters[0],
+            waiters=len(entry.waiters), batch_width=entry.batch_width,
+            engine=entry.engine, latency_s=latency)
+
+    def _finish(self, ticket: Ticket, qr: QueryResult, t: float,
+                marker: tuple[str, float, float, dict] | None = None,
+                **attrs) -> None:
+        """Resolve ``ticket`` to ``qr``: the one path every outcome takes.
+
+        The outcome counters and the latency population are derived from
+        ``qr`` alone, bumped on the registry counters directly rather
+        than through the ``ServeStats`` properties: this runs on every
+        cache hit.  On a traced server the site's ``marker`` span
+        ``(name, t_start, t_end, attrs)`` is recorded under the query's
+        root span, which then closes at ``t`` with ``qr.status`` and
+        ``attrs``.  The ticket resolves last, after the accounting.
+        """
+        st = self.stats
+        count = st._counters
+        status = qr.status
+        if status == "served":
+            count["served"].value += 1
+            if qr.cache_hit:
+                count["stale_serves" if qr.stale else "cache_hits"].value += 1
+                st.cache_latencies.append(qr.latency_s)
+            else:
+                st.latencies.append(qr.latency_s)
+        elif status == "rejected":
+            count["rejected"].value += 1
+            if qr.reason == "shed":
+                count["sheds"].value += 1
+        elif status == "timeout":
+            count["timeouts"].value += 1
         else:
-            qr = QueryResult(
-                query=ticket.query, status="served",
-                value=self._reduce(ticket.query, entry.result, entry.key),
-                bfs=entry.result, mshr_hit=True, waiters=len(entry.waiters),
-                batch_width=entry.batch_width, engine=entry.engine,
-                latency_s=latency)
-            self.stats.served += 1
-            self.stats.latencies.append(latency)
-        if self.tracer is not None and ticket.span is not None:
-            kspan = entry.kernel_span
-            self.tracer.end(
-                ticket.span, t=entry.completion, status=qr.status,
-                mshr_hit=True,
-                kernel_span=None if kspan is None else kspan.span_id,
-                latency_s=latency)
-            qr.span = ticket.span
+            count["failed"].value += 1
+        span = ticket.span
+        if span is not None and self.tracer is not None:
+            if marker is not None:
+                name, t0, t1, marker_attrs = marker
+                self.tracer.record(name, t0, t1, parent=span, **marker_attrs)
+            self.tracer.end(span, t=t, status=status, **attrs)
+            qr.span = span
         ticket._resolve(qr)
 
     def _reduce(self, query: Query, res: BFSResult,

@@ -224,7 +224,9 @@ def _report(server: Server, before: dict, tickets: list,
     widths = st.widths[before["nwidths"]:]
     served = st.served - before["served"]
     kernel_s = st.kernel_s - before["kernel_s"]
-    kernel_served = served - (st.cache_hits - before["cache_hits"])
+    # Cache hits and stale serves never ran a kernel.
+    kernel_served = (served - (st.cache_hits - before["cache_hits"])
+                     - (st.stale_serves - before["stale_serves"]))
     # Goodput accounting: ``served`` excludes timed-out/failed queries,
     # so kernel seconds that produced no served answer (batches whose
     # every waiter timed out) are split out rather than left in the

@@ -31,6 +31,7 @@ from repro.serve.faults import (
 )
 from repro.serve.query import Failed, Query, Rejected, Ticket, TimedOut
 from repro.serve.server import Server
+from repro.serve.workload import run_open_loop
 
 SETTINGS = dict(deadline=None, max_examples=25,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -39,7 +40,7 @@ SETTINGS = dict(deadline=None, max_examples=25,
 TEN_MS = 0.010
 
 
-def _model(width: int) -> float:
+def _model(roots: np.ndarray) -> float:
     return TEN_MS
 
 
@@ -364,6 +365,25 @@ class TestServerResilience:
         # No prior-epoch entry for root 9: shed instead.
         assert srv.submit(9, now=0.6).result().reason == "shed"
 
+    def test_stale_serves_are_not_kernel_work(self):
+        # Stale serves answer from the cache like hits; counting them as
+        # kernel-served inflated throughput sixfold here (600 q/s over
+        # one 10 ms batch that served one query).
+        srv = make_server(
+            g=star_graph(16), serve_stale=True,
+            faults=ScriptedInjector(kernel=[None, None, PermanentKernelFault]),
+            breaker=CircuitBreaker(failure_threshold=1, cooldown_s=100.0))
+        srv.submit(3, now=0.0)
+        srv.poll(now=0.5)  # root 3 cache-visible in epoch 0
+        srv.invalidate()
+        roots = [5, 7, 3, 3, 3, 3, 3]  # kernel, trip, then five stale
+        report = run_open_loop(srv, roots, 1.0 + 0.1 * np.arange(7))
+        assert report["served"] == 6 and report["stale_serves"] == 5
+        assert report["kernel_s"] == pytest.approx(TEN_MS)
+        assert report["kernel_throughput_qps"] == pytest.approx(100.0)
+        # Server lifetime: two kernel-served queries over two batches.
+        assert srv.stats.kernel_throughput == pytest.approx(100.0)
+
     def test_without_serve_stale_invalidate_drops_everything(self):
         srv = make_server()
         srv.submit(0, now=0.0)
@@ -441,7 +461,7 @@ class TestChaosProperty:
         srv = Server(
             g, C=4, max_batch=4, max_wait=5e-3, cache_size=8,
             max_pending=4, serve_stale=serve_stale,
-            service_model=lambda w: 2e-3,
+            service_model=lambda roots: 2e-3,
             faults=FaultPlan(transient_rate=transient,
                              permanent_rate=permanent,
                              straggler_rate=straggler,
@@ -475,6 +495,20 @@ class TestChaosProperty:
         assert st_.timeouts == statuses.count("timeout")
         assert st_.failed == statuses.count("failed")
         assert st_.served + st_.rejected + st_.timeouts + st_.failed == nq
+        results = [t.result() for t in tickets]
+        served = [r for r in results if r.status == "served"]
+        assert st_.cache_hits == sum(r.cache_hit and not r.stale
+                                     for r in served)
+        assert st_.stale_serves == sum(r.stale for r in served)
+        assert st_.sheds == sum(isinstance(r, Rejected) and r.reason == "shed"
+                                for r in results)
+        assert len(st_.latencies) == sum(not r.cache_hit for r in served)
+        assert len(st_.cache_latencies) == sum(r.cache_hit for r in served)
+        # The kernel-served count kernel_throughput divides by.
+        useful = st_.kernel_s - st_.kernel_s_wasted
+        if useful > 0:
+            assert st_.kernel_throughput * useful == pytest.approx(
+                len(st_.latencies))
 
         # No waiter stranded: the MSHR fully drained.
         assert len(srv.mshr) == 0

@@ -321,7 +321,7 @@ def _traced_server(max_batch: int = 4, cache_size: int = 64) -> Server:
         max_batch=max_batch,
         max_wait=2e-3,
         cache_size=cache_size,
-        service_model=lambda w: 1e-3 + 1e-4 * w,
+        service_model=lambda roots: 1e-3 + 1e-4 * roots.size,
         tracer=Tracer(),
     )
 
@@ -442,7 +442,7 @@ class TestSpanTreeInvariants:
                 star_graph(32),
                 max_batch=4,
                 cache_size=64,
-                service_model=lambda w: 1e-3 + 1e-4 * w,
+                service_model=lambda roots: 1e-3 + 1e-4 * roots.size,
                 tracer=tracer,
             )
             tickets = _drive(srv, [0, 5, 5, 9, 0, 21, 5])

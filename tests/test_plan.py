@@ -422,16 +422,6 @@ class TestPlanCLI:
 
 
 class TestServerHook:
-    def test_service_models_mutually_exclusive(self, kron_small_module):
-        from repro.serve.server import Server
-
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            Server(
-                kron_small_module,
-                service_model=lambda width: 1.0,
-                batch_service_model=lambda roots: 1.0,
-            )
-
     def test_batch_service_model_prices_dispatches(self, kron_small_module):
         """Every dispatched batch is charged exactly what the callable
         returns for its root array (virtual time, not wall time)."""
@@ -448,7 +438,7 @@ class TestServerHook:
             kron_small_module,
             max_batch=4,
             cache_size=0,
-            batch_service_model=price,
+            service_model=price,
         )
         roots = sample_roots(kron_small_module, 8, 3)
         report = run_open_loop(

@@ -218,12 +218,6 @@ class TestEnginePool:
         _, e2 = pool.engine_for("sel-max", 8)
         assert e1 is e2  # same (engine, semiring): one instance
 
-    def test_bad_strategy_return_rejected(self, kron_small):
-        pool = EnginePool(SlimSell(kron_small, 8, kron_small.n),
-                          strategy=lambda w: "traditional")
-        with pytest.raises(ValueError, match="strategy returned"):
-            pool.engine_for("sel-max", 4)
-
 
 # ----------------------------------------------------------------------
 class TestServer:
@@ -707,7 +701,7 @@ class TestBugfixRegressions:
         # ``kernel_throughput_qps`` exactly when faults made the number
         # interesting.
         server = Server(rep, max_batch=1, cache_size=0,
-                        service_model=lambda width: 1.0)
+                        service_model=lambda roots: 1.0)
         dead = server.submit(0, now=0.0, deadline=0.5)
         server.drain(now=0.0)
         assert isinstance(dead.result(), TimedOut)
@@ -729,7 +723,7 @@ class TestBugfixRegressions:
         # all time out, and the wasted kernel seconds are split out of
         # the goodput denominator.
         server = Server(rep, max_batch=1, cache_size=0,
-                        service_model=lambda width: 0.1,
+                        service_model=lambda roots: 0.1,
                         faults=FaultPlan(straggler_rate=0.5,
                                          straggler_factor=10.0, seed=3))
         roots = np.arange(30) % kron_small.n
