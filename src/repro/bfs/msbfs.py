@@ -37,6 +37,11 @@ source:
 Wall-clock accounting: one sweep's time is shared equally by the sources
 still running, so per-source ``time_s``/``total_time_s`` are amortized
 figures (their sum over a batch equals the batch's true wall clock).
+
+The iteration loop (state, tracing, timing, termination, compaction,
+finalize) is the one batched loop in the library: the executed backend
+(:mod:`repro.exec`) swaps its sweep, and the direction-optimizing
+:class:`~repro.bfs.mshybrid.MultiSourceHybridBFS` is another step on it.
 """
 
 from __future__ import annotations
@@ -367,7 +372,157 @@ def finalize_batch(rep: SellCSigma, sr: SemiringBFS,
     return results
 
 
-class MultiSourceBFS:
+class _BatchLoop:
+    """The batched iteration loop: one frontier column per root.
+
+    It owns the state, tracing, timing, per-column termination, snapshots,
+    compaction, the ``max_iters`` cap and finalize.  An engine supplies one
+    iteration (:meth:`_step`), its own per-column run state (:meth:`_start`,
+    :meth:`_compact`) and its result label.  Pulls go through :meth:`_pull`,
+    so :meth:`_layer_sweep` is the one sweep seam.
+    """
+
+    _method = ""  # result label; "+slimwork" is appended with SlimWork on
+
+    def __init__(self, rep: SellCSigma, semiring: SemiringBFS | str, *,
+                 slimwork: bool, compute_parents: bool,
+                 max_iters: int | None):
+        self.rep = rep
+        self.semiring = get_semiring(semiring) if isinstance(semiring, str) else semiring
+        self.slimwork = bool(slimwork)
+        self.compute_parents = bool(compute_parents)
+        self.max_iters = max_iters
+        #: Optional :class:`repro.obs.trace.Tracer` an owner (the serving
+        #: tier, or a direct caller) attaches around a run, and the parent
+        #: of its per-iteration ``bfs.layer`` spans (``None``: each run's
+        #: layers start a fresh trace the owner re-bases).
+        self.tracer = None
+        self.trace_parent = None
+        #: The open ``bfs.layer`` span; the executed backend hangs its
+        #: worker spans off it.
+        self._layer_span = None
+
+    def _run(self, roots) -> list[BFSResult]:
+        # Every engine's run() calls this, never another engine's run(), so
+        # a wrapper around one class's run() sees each batch exactly once.
+        rep = self.rep
+        roots = validate_roots(rep, roots)
+        proots = rep.perm[roots]
+        t0 = time.perf_counter()
+        finals, per_src = self._sweep(proots)
+        total = time.perf_counter() - t0
+        method = self._method + ("+slimwork" if self.slimwork else "")
+        return finalize_batch(rep, self.semiring, finals, roots, per_src,
+                              total, method, self.compute_parents)
+
+    def _sweep(self, proots: np.ndarray):
+        rep = self.rep
+        B = proots.size
+        st = self.semiring.init_batch_state(rep.n, rep.N, proots)
+        self._start(st, proots)
+        cap = self.max_iters if self.max_iters is not None else rep.N + 1
+        per_src: list[list[IterationStats]] = [[] for _ in range(B)]
+        col_of = np.arange(B)  # original source of each live state column
+        finals: list[BFSState | None] = [None] * B  # terminal snapshots
+        k = 0
+        while k < cap and col_of.size:
+            k += 1
+            st.depth = k
+            t0 = time.perf_counter()
+            width = col_of.size
+            tracer = self.tracer
+            if tracer is not None:
+                self._layer_span = tracer.begin(
+                    "bfs.layer", t=t0, parent=self.trace_parent,
+                    k=k, width=width)
+            newly, stats, attrs = self._step(st, k)  # newly: int64[width]
+            t1 = time.perf_counter()
+            if tracer is not None:
+                tracer.end(self._layer_span, t=t1, **attrs,
+                           settled=int((newly == 0).sum()))
+                self._layer_span = None
+            # Per-column stats are built outside the timed window.
+            share = (t1 - t0) / width
+            for j, b in enumerate(col_of):
+                per_src[b].append(stats(j, int(newly[j]), share))
+            dead = newly == 0
+            if dead.any():
+                # A terminated column is a fixed point of the sweep:
+                # snapshot it for finalize and drop it from the state so
+                # stragglers don't drag dead columns through every layer.
+                for j in np.flatnonzero(dead):
+                    finals[col_of[j]] = snapshot_column(st, int(j))
+                keep = ~dead
+                compact_columns(st, keep)
+                self._compact(keep)
+                col_of = col_of[keep]
+        for j, b in enumerate(col_of):  # max_iters cap: snapshot leftovers
+            finals[b] = snapshot_column(st, int(j))
+        return finals, per_src
+
+    def _start(self, st: BFSState, proots: np.ndarray) -> None:
+        """Set up the engine's own per-column run state (default: none)."""
+
+    def _step(self, st: BFSState, k: int):
+        """Run iteration ``k``; return ``(newly, stats, attrs)``.
+
+        ``newly`` is int64[width]; ``stats(j, newly_j, time_s)`` builds
+        column ``j``'s :class:`IterationStats` after the timed window;
+        ``attrs`` annotate the iteration's ``bfs.layer`` span.
+        """
+        raise NotImplementedError
+
+    def _compact(self, keep: np.ndarray) -> None:
+        """Drop the terminated columns' run state (default: none)."""
+
+    def _pull(self, st: BFSState, k: int, cols: np.ndarray | None = None):
+        """SlimWork masks and one union sweep of the columns ``cols``.
+
+        ``None`` pulls every live column.  Returns ``(act, proc, layers,
+        x_raw)``: the union of active chunks, each column's own processed
+        chunks and column layers, and the swept accumulator.
+        """
+        rep = self.rep
+        f = st.f if cols is None else np.ascontiguousarray(st.f[:, cols])
+        if self.slimwork:
+            settled = self.semiring.settled_lanes(st)
+            if cols is not None:
+                settled = settled[:, cols]
+            src_active = chunk_mask(settled, rep.C)  # (nc, width)
+            act = np.flatnonzero(src_active.any(axis=1))  # union sweep
+            # All columns' footprints in two vectorized reductions.
+            proc = src_active.sum(axis=0)
+            layers = rep.cl @ src_active
+        else:
+            act = np.arange(rep.nc)
+            proc = np.full(f.shape[1], rep.nc)
+            layers = np.full(f.shape[1], int(rep.cl.sum()))
+        return act, proc, layers, self._layer_sweep(f, act, k)
+
+    def _layer_sweep(self, f_prev: np.ndarray, act: np.ndarray,
+                     k: int) -> np.ndarray:
+        """Run one union layer sweep; return the raw accumulator.
+
+        The single extension point the executed parallel backend
+        (:mod:`repro.exec`) overrides: it shards ``act`` across workers,
+        sweeps each row band concurrently, and reassembles the union
+        result here — everything else in the loop (SlimWork masks,
+        postprocess, termination, stats) is shared verbatim.
+        """
+        # Carry: inactive chunks keep their columns.  Every gather of the
+        # sweep moves all live columns at once.
+        x_raw = f_prev.copy()
+        profile = [] if self._layer_span is not None else None
+        spmm_layer_sweep(self.rep, self.semiring, f_prev, x_raw, act,
+                         profile=profile)
+        if profile is not None:
+            self._layer_span.attrs["column_layers"] = len(profile)
+            self._layer_span.attrs["live_chunk_layers"] = sum(
+                n for _, n in profile)
+        return x_raw
+
+
+class MultiSourceBFS(_BatchLoop):
     """Batched BFS-SpMV over a chunked representation (layer engine only).
 
     Parameters
@@ -389,6 +544,8 @@ class MultiSourceBFS:
         Safety cap on iterations (defaults to N + 1).
     """
 
+    _method = "spmv-msbfs"
+
     def __init__(
         self,
         rep: SellCSigma,
@@ -399,25 +556,12 @@ class MultiSourceBFS:
         compute_parents: bool = True,
         max_iters: int | None = None,
     ):
-        self.rep = rep
-        self.semiring = get_semiring(semiring) if isinstance(semiring, str) else semiring
-        self.slimwork = bool(slimwork)
+        super().__init__(rep, semiring, slimwork=slimwork,
+                         compute_parents=compute_parents, max_iters=max_iters)
         self.counting = bool(counting)
-        self.compute_parents = bool(compute_parents)
-        self.max_iters = max_iters
         self.is_slim = not rep.has_val
         #: (B, per-iteration union sweep stats) of the most recent run().
         self._last_sweep: tuple[int, list[tuple[int, int, int]]] | None = None
-        #: Optional :class:`repro.obs.trace.Tracer` an owner (the serving
-        #: tier, or a direct caller) attaches around a run; ``None`` keeps
-        #: the sweep loop free of any tracing branches' side effects.
-        self.tracer = None
-        #: Parent span for the per-iteration ``bfs.layer`` spans (``None``
-        #: = each run's layers start a fresh trace the owner re-bases).
-        self.trace_parent = None
-        #: The open ``bfs.layer`` span of the current iteration — the
-        #: parent subclasses (the executed backend) hang worker spans off.
-        self._layer_span = None
 
     # ------------------------------------------------------------------
     def run(self, roots) -> list[BFSResult]:
@@ -427,108 +571,30 @@ class MultiSourceBFS:
         graph are all fine — each column is an independent traversal.
         Returns one :class:`BFSResult` per root, in input order.
         """
-        rep = self.rep
-        roots = validate_roots(rep, roots)
-        proots = rep.perm[roots]
-        t0 = time.perf_counter()
-        finals, per_src = self._sweep(proots)
-        total = time.perf_counter() - t0
-        return self._finalize(finals, roots, per_src, total)
+        return self._run(roots)
 
-    def _sweep(self, proots: np.ndarray):
+    def _start(self, st: BFSState, proots: np.ndarray) -> None:
+        self._last_sweep = (proots.size, [])
+
+    def _step(self, st: BFSState, k: int):
         rep, sr = self.rep, self.semiring
-        C, nc, N = rep.C, rep.nc, rep.N
-        B = proots.size
-        st = sr.init_batch_state(rep.n, N, proots)
-        cl = rep.cl
-        cap = self.max_iters if self.max_iters is not None else N + 1
-        per_src: list[list[IterationStats]] = [[] for _ in range(B)]
-        all_layers = int(cl.sum())
-        col_of = np.arange(B)  # original source of each live state column
-        finals: list[BFSState | None] = [None] * B  # terminal snapshots
-        union_stats: list[tuple[int, int, int]] = []
-        k = 0
-        while k < cap and col_of.size:
-            k += 1
-            st.depth = k
-            t0 = time.perf_counter()
-            width = col_of.size
-            tracer = self.tracer
-            if tracer is not None:
-                self._layer_span = tracer.begin(
-                    "bfs.layer", t=t0, parent=self.trace_parent,
-                    k=k, width=width)
-            if self.slimwork:
-                src_active = chunk_mask(sr.settled_lanes(st), C)  # (nc, width)
-                active = src_active.any(axis=1)  # union over live sources
-            else:
-                src_active = None
-                active = np.ones(nc, dtype=bool)
-            act = np.flatnonzero(active)
-            x_raw = self._layer_sweep(st.f, act, k)
-            newly = sr.postprocess(st, x_raw)  # int64[width]
-            union_stats.append((int(act.size), int(cl[act].sum()), width))
-            if src_active is not None:
-                # All sources' footprints in two vectorized reductions.
-                proc_all = src_active.sum(axis=0)
-                layers_all = cl @ src_active
-            t1 = time.perf_counter()
-            if tracer is not None:
-                tracer.end(self._layer_span, t=t1, chunks=int(act.size),
-                           settled=int((newly == 0).sum()))
-                self._layer_span = None
-            share = (t1 - t0) / width
-            for j, b in enumerate(col_of):
-                if src_active is not None:
-                    proc = int(proc_all[j])
-                    layers = int(layers_all[j])
-                else:
-                    proc, layers = nc, all_layers
-                stat = IterationStats(
-                    k=k, newly=int(newly[j]), time_s=share,
-                    chunks_processed=proc, chunks_skipped=nc - proc,
-                    work_lanes=layers * C)
-                if self.counting:
-                    stat.counters = synthesize_counters(
-                        sr, C, self.is_slim, proc, nc - proc, layers,
-                        self.slimwork)
-                per_src[b].append(stat)
-            dead = newly == 0
-            if dead.any():
-                # A terminated column is a fixed point of the sweep:
-                # snapshot it for finalize and drop it from the state so
-                # stragglers don't drag dead columns through every layer.
-                for j in np.flatnonzero(dead):
-                    finals[col_of[j]] = snapshot_column(st, int(j))
-                keep = ~dead
-                compact_columns(st, keep)
-                col_of = col_of[keep]
-        for j, b in enumerate(col_of):  # max_iters cap: snapshot leftovers
-            finals[b] = snapshot_column(st, int(j))
-        self._last_sweep = (B, union_stats)
-        return finals, per_src
+        C, nc = rep.C, rep.nc
+        act, proc, layers, x_raw = self._pull(st, k)
+        newly = sr.postprocess(st, x_raw)  # int64[width]
+        self._last_sweep[1].append(
+            (int(act.size), int(rep.cl[act].sum()), newly.size))
 
-    def _layer_sweep(self, f_prev: np.ndarray, act: np.ndarray,
-                     k: int) -> np.ndarray:
-        """Run one union layer sweep; return the raw accumulator.
+        def stats(j: int, newly_j: int, share: float) -> IterationStats:
+            p, lay = int(proc[j]), int(layers[j])
+            stat = IterationStats(
+                k=k, newly=newly_j, time_s=share, chunks_processed=p,
+                chunks_skipped=nc - p, work_lanes=lay * C)
+            if self.counting:
+                stat.counters = synthesize_counters(
+                    sr, C, self.is_slim, p, nc - p, lay, self.slimwork)
+            return stat
 
-        The single extension point the executed parallel backend
-        (:mod:`repro.exec`) overrides: it shards ``act`` across workers,
-        sweeps each row band concurrently, and reassembles the union
-        result here — everything else in :meth:`_sweep` (SlimWork masks,
-        postprocess, termination, stats) is shared verbatim.
-        """
-        # Carry: inactive chunks keep their columns.  Every gather of the
-        # sweep moves all live columns at once.
-        x_raw = f_prev.copy()
-        profile = [] if self._layer_span is not None else None
-        spmm_layer_sweep(self.rep, self.semiring, f_prev, x_raw, act,
-                         profile=profile)
-        if profile is not None:
-            self._layer_span.attrs["column_layers"] = len(profile)
-            self._layer_span.attrs["live_chunk_layers"] = sum(
-                n for _, n in profile)
-        return x_raw
+        return newly, stats, {"chunks": int(act.size)}
 
     # ------------------------------------------------------------------
     def batch_counters(self):
@@ -553,14 +619,6 @@ class MultiSourceBFS:
                 self.semiring, self.rep.C, self.is_slim, proc,
                 self.rep.nc - proc, layers, self.slimwork, batch=width)
         return out
-
-    def _finalize(self, finals: list[BFSState], roots: np.ndarray, per_src,
-                  total: float):
-        method = "spmv-msbfs"
-        if self.slimwork:
-            method += "+slimwork"
-        return finalize_batch(self.rep, self.semiring, finals, roots, per_src,
-                              total, method, self.compute_parents)
 
 
 def bfs_msbfs(

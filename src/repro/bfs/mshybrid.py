@@ -1,18 +1,12 @@
 """Batched direction-optimizing multi-source BFS: the push/pull SpMM hybrid.
 
-This engine closes the gap between two PR lineages the paper treats as
-orthogonal and composable (Fig. 1: direction optimization [3] "can be
-implemented on top of SlimSell"):
-
-* :mod:`repro.bfs.msbfs` traverses B sources at once with one SpMM layer
-  sweep per iteration — but always in the *pull* direction, paying a full
-  SlimWork-masked sweep even when a column's frontier is a handful of
-  vertices;
-* :mod:`repro.bfs.hybrid` switches push/pull with Beamer's edge-mass
-  heuristic — but one source at a time.
-
-:class:`MultiSourceHybridBFS` carries an ``(N, B)`` frontier matrix in
-which **each column independently** chooses its direction per layer:
+The paper notes that direction optimization [3] "can be implemented on top
+of SlimSell" (Fig. 1).  :class:`MultiSourceHybridBFS` does so as one step on
+the batched loop of :mod:`repro.bfs.msbfs`: it supplies Beamer's per-column
+choice, the push phase and the per-column run state they need (frontier,
+its edge mass ``m_f``, explored mass); state, tracing, timing, termination,
+compaction and finalize are the all-pull engine's.  Each column of the
+``(N, B)`` frontier matrix chooses its direction per layer:
 
 * **push columns** expand their frontiers' adjacency sparsely in one
   vectorized segment pass — a batched SpMSpV: all push columns'
@@ -20,14 +14,13 @@ which **each column independently** chooses its direction per layer:
   ⊕-reduced with the semiring's ``add.reduceat`` (the algebraic
   generalization of :func:`repro.bfs.hybrid.bfs_hybrid`'s push step);
 * **pull columns** share one SlimWork-masked SpMM sweep over the union of
-  their active chunks, reusing :func:`repro.bfs.msbfs.spmm_layer_sweep`
-  and the representation's memoized ``col64``/``val_for`` operands.
+  their active chunks, through the same mask-and-sweep helper as the
+  all-pull step.
 
 Both directions write into the same carried accumulator ``x_raw``, so one
-shape-polymorphic ``postprocess`` per iteration updates the batched state
-and per-column termination/compaction work exactly as in the all-pull
-engine.  Distances, parents, and roots are **bit-identical** to every
-existing engine (per semiring): push contributions are algebraically the
+shape-polymorphic ``postprocess`` per iteration updates the batched state.
+Distances, parents, and roots are **bit-identical** to every existing
+engine (per semiring): push contributions are algebraically the
 frontier-restricted SpMV product, and — the BFS invariant that makes the
 restriction lossless — every visited neighbor of a still-unvisited vertex
 lies on the current frontier, so ⊕ over the frontier equals ⊕ over all
@@ -42,35 +35,26 @@ when the frontier's edge mass exceeds the unexplored mass over α —
 Iteration-stats contract: see :mod:`repro.bfs.hybrid` — ``direction`` is
 ``"push"`` or ``"pull"`` per column per iteration; ``work_lanes`` is the
 work issued for that column (padded lanes on pull, adjacency entries on
-push); chunk counts are pull-only, ``edges_examined`` push-only.
+push); chunk counts are pull-only, ``edges_examined`` push-only.  Traced
+runs get one ``bfs.layer`` span per iteration with the ``pull`` and
+``push`` column counts.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.bfs.msbfs import (
-    build_rep,
-    chunk_mask,
-    compact_columns,
-    finalize_batch,
-    run_in_batches,
-    snapshot_column,
-    spmm_layer_sweep,
-    validate_roots,
-)
+from repro.bfs.msbfs import _BatchLoop, build_rep, run_in_batches
 from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.spmspv import expand_adjacency
 from repro.formats.sell import SellCSigma
 from repro.graphs.graph import Graph
-from repro.semirings.base import BFSState, SemiringBFS, get_semiring
+from repro.semirings.base import BFSState, SemiringBFS
 
 __all__ = ["MultiSourceHybridBFS", "bfs_mshybrid"]
 
 
-class MultiSourceHybridBFS:
+class MultiSourceHybridBFS(_BatchLoop):
     """Batched push/pull BFS over a chunked representation.
 
     Parameters
@@ -94,6 +78,8 @@ class MultiSourceHybridBFS:
         Safety cap on iterations (defaults to N + 1).
     """
 
+    _method = "spmv-mshybrid"
+
     def __init__(
         self,
         rep: SellCSigma,
@@ -106,164 +92,78 @@ class MultiSourceHybridBFS:
     ):
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        self.rep = rep
-        self.semiring = get_semiring(semiring) if isinstance(semiring, str) else semiring
+        super().__init__(rep, semiring, slimwork=slimwork,
+                         compute_parents=compute_parents, max_iters=max_iters)
         self.alpha = float(alpha)
-        self.slimwork = bool(slimwork)
-        self.compute_parents = bool(compute_parents)
-        self.max_iters = max_iters
-        #: Optional tracing hooks, same contract as
-        #: :class:`~repro.bfs.msbfs.MultiSourceBFS`: an owner attaches a
-        #: :class:`repro.obs.trace.Tracer` (and optionally a parent span)
-        #: around a run to get one ``bfs.layer`` span per iteration, with
-        #: per-direction column counts.
-        self.tracer = None
-        self.trace_parent = None
-        self._layer_span = None
 
     # ------------------------------------------------------------------
     def run(self, roots) -> list[BFSResult]:
-        """Traverse from every root in ``roots`` (original vertex ids).
+        """Traverse from every root, as :meth:`.MultiSourceBFS.run` does."""
+        return self._run(roots)
 
-        Duplicate roots, isolated-vertex roots, and batches wider than the
-        graph are all fine — each column is an independent traversal.
-        Returns one :class:`BFSResult` per root, in input order.
-        """
+    def _start(self, st: BFSState, proots: np.ndarray) -> None:
         rep = self.rep
-        roots = validate_roots(rep, roots)
-        proots = rep.perm[roots]
-        t0 = time.perf_counter()
-        finals, per_src = self._sweep(proots)
-        total = time.perf_counter() - t0
-        method = "spmv-mshybrid"
-        if self.slimwork:
-            method += "+slimwork"
-        return finalize_batch(rep, self.semiring, finals, roots, per_src,
-                              total, method, self.compute_parents)
-
-    # ------------------------------------------------------------------
-    def _sweep(self, proots: np.ndarray):
-        rep, sr = self.rep, self.semiring
-        C, nc, N = rep.C, rep.nc, rep.N
-        gp = rep.graph  # permuted CSR — push expands in the engine id space
-        B = proots.size
-        st = sr.init_batch_state(rep.n, N, proots)
         # Degree vector over the padded id space (virtual rows are edgeless)
         # drives both the heuristic's edge-mass terms and push stats.
-        deg_N = np.zeros(N, dtype=np.int64)
-        deg_N[: rep.n] = gp.degrees
-        m2 = int(deg_N.sum())
-        frontier = np.zeros((N, B), dtype=bool)
-        frontier[proots, np.arange(B)] = True
-        m_f = deg_N[proots]        # per-column frontier edge mass
-        explored = m_f.copy()      # per-column explored edge mass
-        cap = self.max_iters if self.max_iters is not None else N + 1
-        per_src: list[list[IterationStats]] = [[] for _ in range(B)]
-        col_of = np.arange(B)  # original source of each live state column
-        finals: list[BFSState | None] = [None] * B
-        k = 0
-        while k < cap and col_of.size:
-            k += 1
-            st.depth = k
-            t0 = time.perf_counter()
-            width = col_of.size
-            tracer = self.tracer
-            if tracer is not None:
-                self._layer_span = tracer.begin(
-                    "bfs.layer", t=t0, parent=self.trace_parent,
-                    k=k, width=width)
-            # Beamer's rule, evaluated per column exactly as bfs_hybrid does
-            # per traversal (memoryless, no hysteresis).  m_f was computed
-            # when this frontier was settled (one dense product per layer).
-            use_pull = m_f > (m2 - explored) / self.alpha
-            pc = np.flatnonzero(use_pull)
-            x_raw = st.f.copy()  # carry: untouched lanes keep their columns
-            pull_proc = pull_layers = None
-            if pc.size:
-                pull_proc, pull_layers = self._pull_phase(st, x_raw, pc)
-            qc = np.flatnonzero(~use_pull)
-            if qc.size:
-                self._push_phase(st, x_raw, frontier, qc)
-            # The next frontier must be read off before postprocess consumes
-            # x_raw (it replaces the carried vector in place); passing it
-            # back in skips postprocess's own newly_mask evaluation.
-            frontier = sr.newly_mask(st, x_raw)
-            newly = sr.postprocess(st, x_raw, frontier)  # int64[width]
-            m_next = deg_N @ frontier  # next frontier's edge mass
-            explored = explored + m_next
-            t1 = time.perf_counter()
-            if tracer is not None:
-                tracer.end(self._layer_span, t=t1, pull=int(pc.size),
-                           push=int(qc.size), settled=int((newly == 0).sum()))
-                self._layer_span = None
-            share = (t1 - t0) / width
-            for j, b in enumerate(col_of):
-                if use_pull[j]:
-                    jj = int(np.searchsorted(pc, j))
-                    proc = int(pull_proc[jj])
-                    layers = int(pull_layers[jj])
-                    stat = IterationStats(
-                        k=k, newly=int(newly[j]), time_s=share,
-                        chunks_processed=proc, chunks_skipped=nc - proc,
-                        work_lanes=layers * C, direction="pull")
-                else:
-                    edges = int(m_f[j])
-                    stat = IterationStats(
-                        k=k, newly=int(newly[j]), time_s=share,
-                        work_lanes=edges, edges_examined=edges,
-                        direction="push")
-                per_src[b].append(stat)
-            m_f = m_next
-            dead = newly == 0
-            if dead.any():
-                for j in np.flatnonzero(dead):
-                    finals[col_of[j]] = snapshot_column(st, int(j))
-                keep = ~dead
-                compact_columns(st, keep)
-                frontier = frontier[:, keep]
-                explored = explored[keep]
-                m_f = m_f[keep]
-                col_of = col_of[keep]
-        for j, b in enumerate(col_of):  # max_iters cap: snapshot leftovers
-            finals[b] = snapshot_column(st, int(j))
-        return finals, per_src
+        self._deg = np.zeros(rep.N, dtype=np.int64)
+        self._deg[: rep.n] = rep.graph.degrees
+        self._m2 = int(self._deg.sum())
+        self._frontier = np.zeros((rep.N, proots.size), dtype=bool)
+        self._frontier[proots, np.arange(proots.size)] = True
+        self._m_f = self._deg[proots]  # per-column frontier edge mass
+        self._explored = self._m_f.copy()  # per-column explored edge mass
 
-    # ------------------------------------------------------------------
-    def _pull_phase(self, st: BFSState, x_raw: np.ndarray, pc: np.ndarray):
-        """One shared SpMM sweep over the pull columns ``pc``.
+    def _compact(self, keep: np.ndarray) -> None:
+        self._frontier = self._frontier[:, keep]
+        self._explored = self._explored[keep]
+        self._m_f = self._m_f[keep]
 
-        Returns per-pull-column ``(chunks_processed, layers)`` footprints
-        (the column's own SlimWork active set, matching ``bfs_hybrid``'s
-        reported stats; the sweep itself processes the union).
-        """
+    def _step(self, st: BFSState, k: int):
         rep, sr = self.rep, self.semiring
-        nc, C = rep.nc, rep.C
-        all_pull = pc.size == x_raw.shape[1]
-        if self.slimwork:
-            settled = sr.settled_lanes(st)                 # (N, width)
-            if not all_pull:
-                settled = settled[:, pc]                   # (N, P)
-            src_active = chunk_mask(settled, C)            # (nc, P)
-            act = np.flatnonzero(src_active.any(axis=1))   # union sweep
-            proc = src_active.sum(axis=0)
-            layers = rep.cl @ src_active
+        C, nc = rep.C, rep.nc
+        # Beamer's rule, evaluated per column exactly as bfs_hybrid does
+        # per traversal (memoryless, no hysteresis).  m_f was computed
+        # when this frontier was settled (one dense product per layer).
+        m_f = self._m_f
+        use_pull = m_f > (self._m2 - self._explored) / self.alpha
+        pc = np.flatnonzero(use_pull)
+        qc = np.flatnonzero(~use_pull)
+        proc = layers = None
+        if not qc.size:
+            # Dense middle layers: every live column pulls — sweep the
+            # whole state, no column extraction needed.
+            _, proc, layers, x_raw = self._pull(st, k)
         else:
-            act = np.arange(nc, dtype=np.int64)
-            proc = np.full(pc.size, nc, dtype=np.int64)
-            layers = np.full(pc.size, int(rep.cl.sum()), dtype=np.int64)
-        if all_pull:
-            # Dense middle layers: every live column pulls — sweep straight
-            # into the carried accumulator, no column extraction needed.
-            spmm_layer_sweep(rep, sr, st.f, x_raw, act)
-        else:
-            f_pull = np.ascontiguousarray(st.f[:, pc])
-            x_pull = f_pull.copy()
-            spmm_layer_sweep(rep, sr, f_pull, x_pull, act)
-            x_raw[:, pc] = x_pull
-        return proc, layers
+            x_raw = st.f.copy()  # carry: untouched lanes keep their columns
+            if pc.size:
+                _, proc, layers, x_pull = self._pull(st, k, pc)
+                x_raw[:, pc] = x_pull
+            self._push_phase(st, x_raw, qc)
+        # The next frontier must be read off before postprocess consumes
+        # x_raw (it replaces the carried vector in place); passing it
+        # back in skips postprocess's own newly_mask evaluation.
+        self._frontier = sr.newly_mask(st, x_raw)
+        newly = sr.postprocess(st, x_raw, self._frontier)  # int64[width]
+        self._m_f = self._deg @ self._frontier  # next frontier's edge mass
+        self._explored = self._explored + self._m_f
+
+        def stats(j: int, newly_j: int, share: float) -> IterationStats:
+            if use_pull[j]:
+                jj = int(np.searchsorted(pc, j))
+                p, lay = int(proc[jj]), int(layers[jj])
+                return IterationStats(
+                    k=k, newly=newly_j, time_s=share, chunks_processed=p,
+                    chunks_skipped=nc - p, work_lanes=lay * C,
+                    direction="pull")
+            edges = int(m_f[j])
+            return IterationStats(
+                k=k, newly=newly_j, time_s=share, work_lanes=edges,
+                edges_examined=edges, direction="push")
+
+        return newly, stats, {"pull": int(pc.size), "push": int(qc.size)}
 
     def _push_phase(self, st: BFSState, x_raw: np.ndarray,
-                    frontier: np.ndarray, qc: np.ndarray) -> None:
+                    qc: np.ndarray) -> None:
         """Batched sparse push: one segment pass over all push columns.
 
         Every (frontier vertex, column) pair contributes
@@ -275,8 +175,7 @@ class MultiSourceHybridBFS:
         """
         rep, sr = self.rep, self.semiring
         N = rep.N
-        sub = frontier[:, qc]
-        v, c = np.nonzero(sub)  # frontier (vertex, local push column) pairs
+        v, c = np.nonzero(self._frontier[:, qc])  # (vertex, push col) pairs
         if v.size == 0:
             return
         nbrs, seg = expand_adjacency(rep.graph, v)

@@ -25,6 +25,7 @@ import numpy as np
 
 from dataclasses import dataclass, field
 
+from repro.bfs.msbfs import batched_levels, chunk_mask
 from repro.formats.sell import SellCSigma
 from repro.semirings.base import SemiringBFS
 from repro.vec.machine import Machine
@@ -299,13 +300,8 @@ def active_chunk_mask(levels: np.ndarray, nc: int, C: int, k: int,
     per-column decision matrix; ``k`` is 1-based either way.
     """
     if not slimwork:
-        shape = (nc,) if levels.ndim == 1 else (nc, levels.shape[1])
-        return np.ones(shape, dtype=bool)
-    if levels.ndim == 1:
-        settled = (levels <= k - 1).reshape(nc, C)
-        return ~settled.all(axis=1)
-    settled = (levels <= k - 1).reshape(nc, C, levels.shape[1])
-    return ~settled.all(axis=1)
+        return np.ones((nc,) + levels.shape[1:], dtype=bool)
+    return chunk_mask(levels <= k - 1, C)
 
 
 def modeled_local_seconds(machine: Machine, semiring: SemiringBFS, C: int,
@@ -360,9 +356,18 @@ def batch_schedule(rep: SellCSigma, roots, slimwork: bool):
     SlimWork chunk decisions — what a batched rank actually processes.
     Returns ``(dists, schedule)`` with ``dists`` of shape (B, n).
     """
-    from repro.bfs.msbfs import batched_levels
-
     results, levels = batched_levels(rep, roots, slimwork=slimwork)
+    schedule = union_schedule(rep, results, levels, slimwork)
+    return np.stack([r.dist for r in results]), schedule
+
+
+def union_schedule(rep: SellCSigma, results, levels: np.ndarray,
+                   slimwork: bool) -> list[tuple[int, int, int, np.ndarray]]:
+    """The ``(k, width, newly, active)`` schedule of :func:`batch_schedule`.
+
+    ``results`` and their padded level columns ``levels`` (N, B) may come
+    from one fresh sweep or from columns cached from earlier sweeps.
+    """
     n_iters = np.array([len(r.iterations) for r in results], dtype=np.int64)
     schedule = []
     for k in range(1, int(n_iters.max()) + 1):
@@ -371,8 +376,7 @@ def batch_schedule(rep: SellCSigma, roots, slimwork: bool):
                                     slimwork)
         newly = sum(int(results[b].iterations[k - 1].newly) for b in live)
         schedule.append((k, int(live.size), newly, per_col.any(axis=1)))
-    dists = np.stack([r.dist for r in results])
-    return dists, schedule
+    return schedule
 
 
 def simulate_batched(rep: SellCSigma, roots, *, batch: int | None,

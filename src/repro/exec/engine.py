@@ -152,6 +152,7 @@ class ExecMultiSourceBFS(MultiSourceBFS):
                 f"partition has {partition.ranks} ranks, workers={workers}")
         self.workers = workers
         self.backend = backend
+        self._method = f"exec-{backend}-w{workers}"  # result label
         self.partition = partition
         self._shards = [partition.chunks_of(r) for r in range(workers)]
         self._owner = partition.owner
@@ -186,9 +187,8 @@ class ExecMultiSourceBFS(MultiSourceBFS):
         if tracer is not None:
             t0 = time.perf_counter()
         x_raw, t_workers, t_exchange = pool.run_layer(f_prev, act_parts)
-        width = f_prev.shape[1] if f_prev.ndim == 2 else 1
         stats = ExecLayerStats(
-            k=k, width=width, t_workers=tuple(t_workers),
+            k=k, width=f_prev.shape[1], t_workers=tuple(t_workers),
             t_exchange_s=t_exchange,
             chunks_per_worker=tuple(int(p.size) for p in act_parts),
             exchanged_bytes=int(f_prev.nbytes))
@@ -238,15 +238,6 @@ class ExecMultiSourceBFS(MultiSourceBFS):
         m.counter("exec.exchanged_bytes").inc(stats.exchanged_bytes)
         m.histogram("exec.layer.local_s").observe(stats.t_local_s)
         m.histogram("exec.layer.exchange_s").observe(stats.t_exchange_s)
-
-    def _finalize(self, finals, roots, per_src, total) -> list[BFSResult]:
-        method = f"exec-{self.backend}-w{self.workers}"
-        if self.slimwork:
-            method += "+slimwork"
-        from repro.bfs.msbfs import finalize_batch
-
-        return finalize_batch(self.rep, self.semiring, finals, roots, per_src,
-                              total, method, self.compute_parents)
 
     # ------------------------------------------------------------------
     def reset_profile(self) -> None:

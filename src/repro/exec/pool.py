@@ -86,14 +86,14 @@ def _sweep_shard(sr: SemiringBFS, C: int, col: np.ndarray, val: np.ndarray,
                  act_r: np.ndarray) -> np.ndarray:
     """One worker's iteration: copy its band out of ``f_prev``, sweep it.
 
-    Returns the flat band accumulator (``len(rows)`` rows, same trailing
-    shape as ``f_prev``).  The fancy-index read is a fresh copy, so the
-    sweep never writes through into the shared frontier.
+    ``f_prev`` is the ``(N, W)`` frontier matrix.  Returns the flat band
+    accumulator (``len(rows)`` rows of ``W`` columns).  The fancy-index
+    read is a fresh copy, so the sweep never writes through into the
+    shared frontier.
     """
     x_band = f_prev[rows]  # fancy index -> private copy
-    nb = chunks.size
-    shape = (nb, C) if f_prev.ndim == 1 else (nb, C, f_prev.shape[1])
     act_out = np.searchsorted(chunks, act_r)
+    shape = (chunks.size, C, f_prev.shape[1])
     sweep_band_layers(sr, C, col, val, cs, cl, f_prev, x_band.reshape(shape),
                       act_r, act_out, row64=row64)
     return x_band

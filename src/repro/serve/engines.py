@@ -1,16 +1,17 @@
 """Width-driven engine selection for the serving layer.
 
 A released :class:`~repro.serve.batcher.Batch` can run on either batched
-engine, and which one wins depends on the batch width the traffic
-produced (``BENCH_mshybrid.json``): the direction-optimizing
-:class:`~repro.bfs.mshybrid.MultiSourceHybridBFS` dominates at narrow
-widths (6.3× over all-pull at B=1, best point around B=16), while the
-all-pull SpMM sweep of :class:`~repro.bfs.msbfs.MultiSourceBFS` keeps
-scaling past it at wide batches, where the shared pull sweep amortizes
-best.  :class:`EnginePool` encodes that policy as a width threshold
-(``hybrid_max_width``, applied by :func:`default_strategy`) and keeps one
-engine instance per (semiring, kind) so repeated batches reuse the
-representation's memoized operands.
+engine, and how far apart they are depends on the batch width the
+traffic produced (``BENCH_mshybrid.json``, scale 14, 64 roots): the
+direction-optimizing :class:`~repro.bfs.mshybrid.MultiSourceHybridBFS`
+leads most at narrow widths (1.59× over all-pull at B=1, 0.253 vs
+0.402 s, its best point), and the all-pull SpMM sweep of
+:class:`~repro.bfs.msbfs.MultiSourceBFS` closes in at wide batches,
+where the shared pull sweep amortizes best (the hybrid still leads at
+B=64, 0.321 vs 0.344 s).  :class:`EnginePool` encodes the policy as a
+width threshold (``hybrid_max_width``, applied by
+:func:`default_strategy`) and keeps one engine instance per (semiring,
+kind) so repeated batches reuse the representation's memoized operands.
 
 Both engines are differential-tested bit-identical through
 ``tests/engines.py``'s oracle, so the policy only moves *work*, never

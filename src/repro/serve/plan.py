@@ -55,7 +55,7 @@ from repro.dist.faults import (
 )
 from repro.dist.network import Network, get_network
 from repro.dist.partition import Partition1D, machine_weights
-from repro.dist.result import active_chunk_mask
+from repro.dist.result import union_schedule
 from repro.formats.sell import SellCSigma
 from repro.graphs.graph import Graph
 from repro.perf.costmodel import BYTES_PER_WORD
@@ -98,8 +98,6 @@ class SweepCache:
         self.slimwork = slimwork
         self._index: dict[int, int] = {}
         self._levels = np.empty((rep.N, 0))
-        self._n_iters = np.empty(0, dtype=np.int64)
-        self._newly: list[list[int]] = []
         self._results: list[BFSResult] = []
 
     def ensure(self, roots) -> None:
@@ -117,11 +115,7 @@ class SweepCache:
         for root, res in zip(fresh, results):
             self._index[root] = len(self._results)
             self._results.append(res)
-            self._newly.append([int(it.newly) for it in res.iterations])
         self._levels = np.concatenate([self._levels, levels], axis=1)
-        self._n_iters = np.concatenate(
-            [self._n_iters, [len(r.iterations) for r in results]]
-        ).astype(np.int64)
 
     def result_for(self, root: int) -> BFSResult:
         """The cached traversal of ``root`` (sweeping it if needed)."""
@@ -137,19 +131,9 @@ class SweepCache:
         if roots.size == 0:
             raise ValueError("cannot schedule an empty batch")
         self.ensure(roots)
-        idx = np.array([self._index[int(r)] for r in roots], dtype=np.int64)
-        levels = self._levels[:, idx]
-        n_iters = self._n_iters[idx]
-        rep = self.rep
-        schedule = []
-        for k in range(1, int(n_iters.max()) + 1):
-            live = np.flatnonzero(n_iters >= k)
-            per_col = active_chunk_mask(
-                levels[:, live], rep.nc, rep.C, k, self.slimwork
-            )
-            newly = sum(self._newly[int(idx[b])][k - 1] for b in live)
-            schedule.append((k, int(live.size), newly, per_col.any(axis=1)))
-        return schedule
+        idx = [self._index[int(r)] for r in roots]
+        results = [self._results[i] for i in idx]
+        return union_schedule(self.rep, results, self._levels[:, idx], self.slimwork)
 
 
 class DistServiceModel:

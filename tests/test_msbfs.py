@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.bfs.msbfs import MultiSourceBFS, bfs_msbfs
+from repro.bfs.mshybrid import MultiSourceHybridBFS
 from repro.bfs.operator import SlimSpMV
 from repro.bfs.spmv import BFSSpMV, synthesize_counters
+from repro.exec.engine import ExecMultiSourceBFS
 from repro.formats.sell import SellCSigma
 from repro.formats.slimsell import SlimSell
 from repro.graphs.erdos_renyi import erdos_renyi_nm
@@ -171,6 +173,47 @@ class TestEdgeCases:
         rep = SlimSell(kron_small, 8)
         res = MultiSourceBFS(rep, "tropical", slimwork=True).run([0])
         assert res[0].method == "spmv-msbfs+slimwork"
+
+
+class TestIterationCap:
+    """``max_iters`` stops every engine after the same iteration.
+
+    The batched loop snapshots the columns still live when the cap hits;
+    the single-source engines stop at the same point, so distances,
+    parents and iteration logs must agree with the layer engine's.
+    """
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    @pytest.mark.parametrize("slimwork", [False, True])
+    @pytest.mark.parametrize("semiring", SEMIRING_NAMES)
+    def test_engines_agree_under_cap(self, kron_small, semiring, slimwork,
+                                     cap):
+        g = kron_small
+        rep = SlimSell(g, 8, g.n)
+        hub = int(np.argmax(g.degrees))
+        roots = np.array([hub, 0, hub, g.n - 1])  # hub twice in one batch
+        kw = dict(slimwork=slimwork, max_iters=cap)
+        runs = {
+            engine: [BFSSpMV(rep, semiring, engine=engine, **kw).run(int(r))
+                     for r in roots]
+            for engine in ("layer", "chunk")
+        }
+        runs["msbfs"] = MultiSourceBFS(rep, semiring, **kw).run(roots)
+        runs["mshybrid"] = MultiSourceHybridBFS(rep, semiring, **kw).run(roots)
+        with ExecMultiSourceBFS(rep, semiring, workers=2, **kw) as eng:
+            runs["exec"] = eng.run(roots)
+        ref = runs.pop("layer")
+        # The cap must bite: the hub's traversal is longer than 3 layers,
+        # so none of its capped iterations is the terminating one.
+        hub_log = ref[0].iterations
+        assert len(hub_log) == cap and all(it.newly for it in hub_log)
+        for name, results in runs.items():
+            for want, got in zip(ref, results):
+                assert got.root == want.root, name
+                np.testing.assert_array_equal(got.dist, want.dist, name)
+                np.testing.assert_array_equal(got.parent, want.parent, name)
+                assert ([it.newly for it in got.iterations]
+                        == [it.newly for it in want.iterations]), name
 
 
 class TestBFSSpMVBatchAPI:

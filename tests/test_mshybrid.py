@@ -135,6 +135,35 @@ class TestDirectionSemantics:
             == "spmv-mshybrid"
 
 
+class TestRunSeam:
+    """perfbench's probe wraps ``run`` in the body of each engine class;
+    one engine's ``run`` calling another's would nest two ``bfs.run``
+    spans and count every batch twice."""
+
+    def test_each_engine_defines_run(self):
+        assert "run" in vars(MultiSourceBFS)
+        assert "run" in vars(MultiSourceHybridBFS)
+
+    def test_run_does_not_go_through_msbfs_run(self, kron_small,
+                                                monkeypatch):
+        def refuse(self, roots):
+            raise AssertionError("MultiSourceBFS.run was called")
+
+        rep = SlimSell(kron_small, 8, kron_small.n)
+        want = MultiSourceHybridBFS(rep, "sel-max").run([0, 5])
+        monkeypatch.setattr(MultiSourceBFS, "run", refuse)
+        got = MultiSourceHybridBFS(rep, "sel-max").run([0, 5])
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a.dist, b.dist)
+            np.testing.assert_array_equal(a.parent, b.parent)
+
+    def test_hybrid_has_no_msbfs_only_options(self, kron_small):
+        eng = MultiSourceHybridBFS(SlimSell(kron_small, 8))
+        assert not isinstance(eng, MultiSourceBFS)
+        assert not hasattr(eng, "counting")
+        assert not hasattr(eng, "batch_counters")
+
+
 class TestProperties:
     """Hypothesis: invariance to root order and batch width."""
 

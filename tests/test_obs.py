@@ -22,6 +22,9 @@ from hypothesis import strategies as st
 
 from conftest import path_graph, star_graph
 
+from repro.bfs.mshybrid import MultiSourceHybridBFS
+from repro.formats.slimsell import SlimSell
+from repro.graphs.kronecker import kronecker
 from repro.obs.export import (
     chrome_trace_events,
     load_trace,
@@ -450,3 +453,30 @@ class TestSpanTreeInvariants:
             latencies = [t.result().latency_s for t in tickets]
             runs.append((srv.stats.summary(), statuses, latencies))
         assert runs[0] == runs[1]
+
+
+class TestEngineLayerSpans:
+    def test_hybrid_layer_span_attributes(self):
+        # A hub root and a low-degree root: the first iteration pushes in
+        # both columns, later ones pull in one or both.
+        g = kronecker(10, 16, seed=1)
+        rep = SlimSell(g, 8, g.n)
+        eng = MultiSourceHybridBFS(rep, "tropical")
+        eng.tracer = Tracer()
+        results = eng.run([int(np.argmax(g.degrees)), 0])
+        layers = [s for s in eng.tracer.spans if s.name == "bfs.layer"]
+        assert len(layers) == max(len(r.iterations) for r in results)
+        assert [s.attrs["k"] for s in layers] == list(range(1, len(layers) + 1))
+        base = {"k", "width", "pull", "push", "settled"}
+        sweep = {"column_layers", "live_chunk_layers"}
+        kinds = set()
+        for s in layers:
+            assert s.parent_id is None and s.t_end is not None
+            assert s.attrs["pull"] + s.attrs["push"] == s.attrs["width"]
+            if s.attrs["pull"]:
+                assert set(s.attrs) == base | sweep
+                assert s.attrs["live_chunk_layers"] >= s.attrs["column_layers"]
+            else:
+                assert set(s.attrs) == base
+            kinds.add(bool(s.attrs["pull"]))
+        assert kinds == {True, False}  # push-only and pull iterations both
