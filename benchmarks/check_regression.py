@@ -4,8 +4,10 @@
 The committed ``BENCH_*.json`` files carry, next to the full-scale ablation
 payload, a ``quick_baseline`` section: the same sweep at the CI smoke
 configuration (each bench module's ``QUICK`` dict).  This gate re-runs those
-quick sweeps in-process and fails (exit 1) if any kernel point regresses by
-more than ``--tolerance`` (default 25%) against its committed baseline.
+quick sweeps in-process and fails (exit 1) if any point regresses against its
+committed baseline: a timing bench's points by more than ``--tolerance``
+(default 25%), a deterministic bench's by more than a relative ``EXACT``
+(1e-9, float noise only) whatever ``--tolerance`` says.  Improvements pass.
 
 What is compared is deliberately machine-portable:
 
@@ -49,7 +51,7 @@ Usage::
 
     python benchmarks/check_regression.py                   # gate (CI)
     python benchmarks/check_regression.py --list            # gate names
-    python benchmarks/check_regression.py --tolerance 0.4   # looser gate
+    python benchmarks/check_regression.py --tolerance 0.4   # looser timing gate
     python benchmarks/check_regression.py --update-baselines
     python benchmarks/check_regression.py --update-baselines \
         --only msbfs:B=1.kernel_over_probe   # re-stamp one point only
@@ -66,6 +68,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Relative bound of a deterministic bench's points: their values are pure
+#: functions of the code, so anything beyond float noise is a real change.
+EXACT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -616,8 +622,9 @@ def _selected(only: list[str] | None) -> dict[str, set[str] | None]:
     return sel
 
 
-def update_baselines(baseline_dir: Path, repeats: int,
-                     only: list[str] | None = None) -> int:
+def update_baselines(
+    baseline_dir: Path, repeats: int, only: list[str] | None = None
+) -> int:
     for name, points in _selected(only).items():
         fname, run, extract, deterministic = BENCHES[name]
         path = baseline_dir / fname
@@ -657,8 +664,13 @@ def update_baselines(baseline_dir: Path, repeats: int,
     return 0
 
 
-def check(baseline_dir: Path, tolerance: float, inject: float, repeats: int,
-          only: list[str] | None = None) -> int:
+def check(
+    baseline_dir: Path,
+    tolerance: float,
+    inject: float,
+    repeats: int,
+    only: list[str] | None = None,
+) -> int:
     failures = 0
     compared = 0
     for name, points in _selected(only).items():
@@ -680,6 +692,7 @@ def check(baseline_dir: Path, tolerance: float, inject: float, repeats: int,
         gated = base_payload.get("gated_points", {})
         print(f"re-running quick sweep: {name} ...", flush=True)
         reps = 1 if deterministic else repeats
+        tol = EXACT if deterministic else tolerance
         fresh_points = _best_points(run, extract, reps).values()
         for p in fresh_points:
             if points is not None and p.name not in points:
@@ -696,10 +709,10 @@ def check(baseline_dir: Path, tolerance: float, inject: float, repeats: int,
             if p.timing and inject != 1.0:
                 value = value / inject if p.direction == "higher" else value * inject
             if p.direction == "higher":
-                bound = base.value * (1.0 - tolerance)
+                bound = base.value * (1.0 - tol)
                 bad = value < bound
             else:
-                bound = base.value * (1.0 + tolerance)
+                bound = base.value * (1.0 + tol)
                 bad = value > bound
             compared += 1
             status = "FAIL" if bad else "ok"
@@ -711,7 +724,7 @@ def check(baseline_dir: Path, tolerance: float, inject: float, repeats: int,
             failures += bad
     print(
         f"\n{compared} points compared, {failures} regression(s) "
-        f"(tolerance {tolerance:.0%}"
+        f"(tolerance {tolerance:.0%}, deterministic benches {EXACT:g}"
         + (f", injected slowdown {inject:g}x" if inject != 1.0 else "")
         + ")"
     )
@@ -724,7 +737,8 @@ def main(argv: list[str] | None = None) -> int:
         "--tolerance",
         type=float,
         default=0.25,
-        help="allowed relative regression per point (default 0.25)",
+        help="allowed relative regression per timing-bench point (default "
+        "0.25); deterministic benches are gated to a relative EXACT (1e-9)",
     )
     ap.add_argument(
         "--baseline-dir",
@@ -741,7 +755,8 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=1.0,
         help="self-test: scale every timing metric as if the code ran this "
-        "many times slower (the gate must fail for factors > 1+tolerance)",
+        "many times slower (the gate must fail for factors > 1+tolerance, "
+        "and on a deterministic bench's modeled times for any factor > 1)",
     )
     ap.add_argument(
         "--repeats",
@@ -768,8 +783,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline_dir = Path(args.baseline_dir)
     if args.update_baselines:
         return update_baselines(baseline_dir, args.repeats, args.only)
-    return check(baseline_dir, args.tolerance, args.inject, args.repeats,
-                 args.only)
+    return check(baseline_dir, args.tolerance, args.inject, args.repeats, args.only)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.spmspv import expand_adjacency
-from repro.bfs.traditional import _expand_frontier
 from repro.graphs.graph import Graph
 
 
@@ -106,9 +105,8 @@ def bfs_direction_optimizing(
             newly, examined = _bottom_up_step(graph, dist, parent, in_frontier, k)
             direction = "bottom-up"
         else:
-            nbrs = _expand_frontier(graph, frontier)
-            src = np.repeat(frontier,
-                            graph.indptr[frontier + 1] - graph.indptr[frontier])
+            nbrs, seg = expand_adjacency(graph, frontier)
+            src = frontier[seg]
             unvisited = ~np.isfinite(dist[nbrs])
             newly, first = np.unique(nbrs[unvisited], return_index=True)
             dist[newly] = k

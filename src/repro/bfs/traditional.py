@@ -21,6 +21,7 @@ from collections import deque
 import numpy as np
 
 from repro.bfs.result import BFSResult, IterationStats
+from repro.bfs.spmspv import expand_adjacency
 from repro.graphs.graph import Graph
 
 
@@ -48,17 +49,6 @@ def bfs_serial(graph: Graph, root: int) -> BFSResult:
     )
 
 
-def _expand_frontier(graph: Graph, frontier: np.ndarray) -> np.ndarray:
-    """All neighbor ids of the frontier vertices, concatenated (with dups)."""
-    deg = graph.indptr[frontier + 1] - graph.indptr[frontier]
-    total = int(deg.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(graph.indptr[frontier], deg)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(deg) - deg, deg)
-    return graph.indices[starts + within].astype(np.int64)
-
-
 def bfs_top_down(graph: Graph, root: int, max_iters: int | None = None) -> BFSResult:
     """Work-efficient top-down BFS with per-iteration statistics.
 
@@ -81,8 +71,8 @@ def bfs_top_down(graph: Graph, root: int, max_iters: int | None = None) -> BFSRe
     while frontier.size and k < cap:
         k += 1
         t0 = time.perf_counter()
-        nbrs = _expand_frontier(graph, frontier)
-        src = np.repeat(frontier, graph.indptr[frontier + 1] - graph.indptr[frontier])
+        nbrs, seg = expand_adjacency(graph, frontier)
+        src = frontier[seg]
         unvisited = ~np.isfinite(dist[nbrs])
         cand, first = np.unique(nbrs[unvisited], return_index=True)
         dist[cand] = k

@@ -30,7 +30,8 @@ Modules
                checkpoint-interval vs recompute-from-root recovery cost
 ``calibrate``  fit the machine/network descriptors to the *executed*
                parallel backend's measured layer times (:mod:`repro.exec`)
-``result``     per-iteration profile and result containers
+``result``     per-iteration profile, result containers and the one
+               simulation driver both decompositions share
 """
 
 from repro.dist.bfs1d import bfs_dist_1d, profile_1d

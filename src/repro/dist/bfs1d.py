@@ -21,20 +21,17 @@ allgather ships one union value vector plus per-column bitmaps
 (:func:`repro.dist.network.batched_frontier_bytes`) — once per layer, so
 the α·log2(P) latency amortizes across the batch.  ``overlap`` hides that
 fraction of every collective behind the local compute.
+
+This module supplies only the 1D mapping, :func:`profile_1d`;
+:func:`bfs_dist_1d` checks its partition and hands that profile to the one
+driver both decompositions share (:func:`repro.dist.result.simulate`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 
-import numpy as np
-
-from repro.dist.faults import (
-    DistFaultInjector,
-    DistFaultModel,
-    faulted_profile,
-)
+from repro.dist.faults import DistFaultInjector, DistFaultModel
 from repro.dist.network import (
     Network,
     batched_frontier_bytes,
@@ -45,11 +42,9 @@ from repro.dist.result import (
     DistBatchResult,
     DistBFSResult,
     DistIterationStats,
-    active_chunk_mask,
     check_overlap,
     modeled_local_seconds,
-    run_global_bfs,
-    simulate_batched,
+    simulate,
     work_imbalance,
 )
 from repro.formats.sell import SellCSigma
@@ -194,44 +189,9 @@ def bfs_dist_1d(
             f"partition covers {partition.nchunks} chunks but the "
             f"representation has {rep.nc}; the partition must cover every chunk")
     overlap = check_overlap(overlap)
-    method = "dist-1d" + ("+slimwork" if slimwork else "")
-    # One injector for the whole call: a batched sweep's groups draw from
-    # the same evolving stream instead of replaying the seed per group.
-    injector = (faults if faults is None or isinstance(faults,
-                                                       DistFaultInjector)
-                else DistFaultInjector(faults))
-    if np.ndim(root) != 0:
-        return simulate_batched(
-            rep, root, batch=batch, slimwork=slimwork,
-            profile=lambda schedule: faulted_profile(
-                profile_1d(rep, partition, machine, network, slimwork,
-                           overlap, schedule),
-                injector, ranks=partition.ranks, network=network,
-                nwords=rep.N, bytes_per_word=BYTES_PER_WORD),
-            method=method, ranks=partition.ranks,
-            machine=machine_label(machine),
-            network=network.name, overlap=overlap)
-    if batch is not None and batch != 1:
-        raise ValueError("batch= requires a sequence of roots; "
-                         "pass root=[...] for a multi-source sweep")
-    if not 0 <= root < rep.n:
-        raise ValueError(f"root {root} out of range [0, {rep.n})")
-
-    t0 = time.perf_counter()
-    res, levels = run_global_bfs(rep, root, slimwork)
-    schedule = [
-        (it.k, 1, it.newly,
-         active_chunk_mask(levels, rep.nc, rep.C, it.k, slimwork))
-        for it in res.iterations
-    ]
-    iterations = faulted_profile(
-        profile_1d(rep, partition, machine, network, slimwork, overlap,
-                   schedule),
-        injector, ranks=partition.ranks, network=network, nwords=rep.N,
-        bytes_per_word=BYTES_PER_WORD)
-
-    return DistBFSResult(
-        dist=res.dist, root=root, method=method, ranks=partition.ranks,
-        machine=machine_label(machine), network=network.name,
-        iterations=iterations, wall_time_s=time.perf_counter() - t0,
-    )
+    return simulate(
+        rep, root, batch=batch, slimwork=slimwork, faults=faults,
+        profile=lambda schedule: profile_1d(rep, partition, machine, network,
+                                            slimwork, overlap, schedule),
+        kind="dist-1d", ranks=partition.ranks, machine=machine_label(machine),
+        network=network, overlap=overlap)

@@ -28,20 +28,19 @@ union payload of :func:`repro.dist.network.batched_frontier_bytes` per
 segment, paying each collective's α terms once per layer for the whole
 batch; ``overlap`` hides that fraction of the wire time behind the local
 sweep.
+
+This module supplies only the grid mapping (``_profile_2d`` over one
+``_Grid2D``); :func:`bfs_dist_2d` checks the grid and hands that profile to
+the one driver both decompositions share (:func:`repro.dist.result.simulate`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
-from repro.dist.faults import (
-    DistFaultInjector,
-    DistFaultModel,
-    faulted_profile,
-)
+from repro.dist.faults import DistFaultInjector, DistFaultModel
 from repro.dist.network import (
     Network,
     batched_frontier_bytes,
@@ -54,11 +53,9 @@ from repro.dist.result import (
     DistBatchResult,
     DistBFSResult,
     DistIterationStats,
-    active_chunk_mask,
     check_overlap,
     modeled_local_seconds,
-    run_global_bfs,
-    simulate_batched,
+    simulate,
     work_imbalance,
 )
 from repro.formats.sell import SellCSigma
@@ -217,41 +214,10 @@ def bfs_dist_2d(
     if R < 1 or C_grid < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {grid!r}")
     overlap = check_overlap(overlap)
-    method = "dist-2d" + ("+slimwork" if slimwork else "")
-    # One injector for the whole call (see bfs_dist_1d).
-    injector = (faults if faults is None or isinstance(faults,
-                                                       DistFaultInjector)
-                else DistFaultInjector(faults))
-    if np.ndim(root) != 0:
-        g2d = _Grid2D(rep, grid, network, transpose)
-        return simulate_batched(
-            rep, root, batch=batch, slimwork=slimwork,
-            profile=lambda schedule: faulted_profile(
-                _profile_2d(rep, g2d, machine, slimwork, overlap, schedule),
-                injector, ranks=g2d.ranks, network=network, nwords=rep.N,
-                bytes_per_word=BYTES_PER_WORD),
-            method=method, ranks=g2d.ranks, machine=machine.name,
-            network=network.name, overlap=overlap)
-    if batch is not None and batch != 1:
-        raise ValueError("batch= requires a sequence of roots; "
-                         "pass root=[...] for a multi-source sweep")
-    if not 0 <= root < rep.n:
-        raise ValueError(f"root {root} out of range [0, {rep.n})")
-
-    t0 = time.perf_counter()
-    res, levels = run_global_bfs(rep, root, slimwork)
     g2d = _Grid2D(rep, grid, network, transpose)
-    schedule = [
-        (it.k, 1, it.newly,
-         active_chunk_mask(levels, rep.nc, rep.C, it.k, slimwork))
-        for it in res.iterations
-    ]
-    iterations = faulted_profile(
-        _profile_2d(rep, g2d, machine, slimwork, overlap, schedule),
-        injector, ranks=g2d.ranks, network=network, nwords=rep.N,
-        bytes_per_word=BYTES_PER_WORD)
-    return DistBFSResult(
-        dist=res.dist, root=root, method=method, ranks=g2d.ranks,
-        machine=machine.name, network=network.name, iterations=iterations,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return simulate(
+        rep, root, batch=batch, slimwork=slimwork, faults=faults,
+        profile=lambda schedule: _profile_2d(rep, g2d, machine, slimwork,
+                                             overlap, schedule),
+        kind="dist-2d", ranks=g2d.ranks, machine=machine.name,
+        network=network, overlap=overlap)

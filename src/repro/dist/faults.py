@@ -47,7 +47,7 @@ from repro.dist.network import (
 from repro.dist.result import DistIterationStats
 
 __all__ = ["DistFaultModel", "DistFaultInjector", "apply_dist_faults",
-           "faulted_profile"]
+           "fault_injector", "faulted_profile"]
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,17 @@ class DistFaultInjector:
             self.stats.failures += 1
             return True
         return False
+
+
+def fault_injector(faults: DistFaultModel | DistFaultInjector | None
+                   ) -> DistFaultInjector | None:
+    """Normalize a ``faults=`` argument: ``None`` and a prebuilt injector
+    (whose stream may already be in use) pass through; a model gets a fresh
+    injector.
+    """
+    if faults is None or isinstance(faults, DistFaultInjector):
+        return faults
+    return DistFaultInjector(faults)
 
 
 def apply_dist_faults(iterations: list[DistIterationStats],

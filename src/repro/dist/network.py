@@ -103,17 +103,9 @@ def model_reduce_scatter(network: Network, ranks: int,
     This is the proper model for the 2D row merge (each grid-row rank holds a
     *partial* result for the whole row band and keeps only its segment),
     which the seed modeled as an allgather-shaped collective; the volume and
-    hop counts coincide, so single-source 2D totals are unchanged.
+    hop counts coincide, so the cost is :func:`model_allgather`'s.
     """
-    if ranks < 1:
-        raise ValueError(f"ranks must be >= 1, got {ranks}")
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-    if ranks == 1:
-        return 0.0
-    t_latency = math.log2(ranks) * network.latency_s
-    t_bandwidth = nbytes * (ranks - 1) / ranks / (network.bandwidth_gbs * 1e9)
-    return t_latency + t_bandwidth
+    return model_allgather(network, ranks, nbytes)
 
 
 def model_transpose(network: Network, nbytes: int | float) -> float:

@@ -14,7 +14,12 @@ Batched traversals generalize both halves: the ground truth comes from one
 to the single-source engine), and the per-iteration activity is the *union*
 of the per-column reconstructions over the columns still live — the set a
 real batched rank would have to process.  :func:`batch_schedule` yields that
-union schedule; the decomposition modules map it onto ranks and wires.
+union schedule.
+
+:func:`simulate` is the one driver of both decompositions.  Each supplies
+only its ``profile`` callback (schedule → :class:`DistIterationStats` list:
+the mapping onto ranks and wires), its rank count and its labels; the driver
+owns the root dispatch and checks, the fault model and result assembly.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ import numpy as np
 
 from dataclasses import dataclass, field
 
-from repro.bfs.msbfs import batched_levels, chunk_mask
+from repro.bfs.msbfs import batched_levels, chunk_mask, validate_roots
+from repro.dist.network import Network
 from repro.formats.sell import SellCSigma
+from repro.perf.costmodel import BYTES_PER_WORD
 from repro.semirings.base import SemiringBFS
 from repro.vec.machine import Machine
 
@@ -111,8 +118,40 @@ class DistIterationStats:
         return self.t_base_s + self.t_fault_s
 
 
+class _IterationTotals:
+    """The totals both result containers derive from their ``iterations``."""
+
+    @property
+    def n_iterations(self) -> int:
+        """Iterations executed (for a batch: union iterations, all groups)."""
+        return len(self.iterations)
+
+    @property
+    def modeled_total_s(self) -> float:
+        """Modeled end-to-end seconds: Σ per-iteration (local + exposed comm)."""
+        return float(sum(it.t_total_s for it in self.iterations))
+
+    @property
+    def total_comm_bytes(self) -> int:
+        """Total collective bytes received per rank across all iterations."""
+        return int(sum(it.comm_bytes for it in self.iterations))
+
+    @property
+    def comm_fraction(self) -> float:
+        """Communication share of the modeled total (0 when nothing is modeled)."""
+        total = self.modeled_total_s
+        if total <= 0.0:
+            return 0.0
+        return float(sum(it.t_comm_visible_s for it in self.iterations)) / total
+
+    @property
+    def fault_overhead_s(self) -> float:
+        """Σ modeled resilience overhead (0.0 without a fault model)."""
+        return float(sum(it.t_fault_s for it in self.iterations))
+
+
 @dataclass
-class DistBFSResult:
+class DistBFSResult(_IterationTotals):
     """Outcome of one simulated distributed BFS traversal.
 
     Attributes
@@ -143,41 +182,13 @@ class DistBFSResult:
     wall_time_s: float = 0.0
 
     @property
-    def n_iterations(self) -> int:
-        """Number of frontier expansions executed."""
-        return len(self.iterations)
-
-    @property
     def reached(self) -> int:
         """Vertices reached (finite distance)."""
         return int(np.isfinite(self.dist).sum())
 
-    @property
-    def modeled_total_s(self) -> float:
-        """Modeled end-to-end seconds: Σ per-iteration (local barrier + comm)."""
-        return float(sum(it.t_total_s for it in self.iterations))
-
-    @property
-    def total_comm_bytes(self) -> int:
-        """Total collective bytes received per rank across all iterations."""
-        return int(sum(it.comm_bytes for it in self.iterations))
-
-    @property
-    def comm_fraction(self) -> float:
-        """Communication share of the modeled total (0 when nothing is modeled)."""
-        total = self.modeled_total_s
-        if total <= 0.0:
-            return 0.0
-        return float(sum(it.t_comm_visible_s for it in self.iterations)) / total
-
-    @property
-    def fault_overhead_s(self) -> float:
-        """Σ modeled resilience overhead (0.0 without a fault model)."""
-        return float(sum(it.t_fault_s for it in self.iterations))
-
 
 @dataclass
-class DistBatchResult:
+class DistBatchResult(_IterationTotals):
     """Outcome of one simulated batched (multi-source) distributed sweep.
 
     One :class:`DistIterationStats` per *union* iteration: the collective is
@@ -227,19 +238,9 @@ class DistBatchResult:
         return int(self.roots.size)
 
     @property
-    def n_iterations(self) -> int:
-        """Union iterations executed, summed over groups."""
-        return len(self.iterations)
-
-    @property
     def reached(self) -> np.ndarray:
         """int64[B]; vertices reached (finite distance) per source."""
         return np.isfinite(self.dists).sum(axis=1)
-
-    @property
-    def modeled_total_s(self) -> float:
-        """Modeled end-to-end seconds: Σ per-iteration (local + exposed comm)."""
-        return float(sum(it.t_total_s for it in self.iterations))
 
     @property
     def modeled_per_source_s(self) -> float:
@@ -247,27 +248,9 @@ class DistBatchResult:
         return self.modeled_total_s / self.n_sources
 
     @property
-    def total_comm_bytes(self) -> int:
-        """Total collective bytes received per rank across all iterations."""
-        return int(sum(it.comm_bytes for it in self.iterations))
-
-    @property
     def total_comm_latency_s(self) -> float:
         """Σ α terms — the per-layer latency the batch pays once per sweep."""
         return float(sum(it.comm_latency_s for it in self.iterations))
-
-    @property
-    def comm_fraction(self) -> float:
-        """Communication share of the modeled total (0 when nothing is modeled)."""
-        total = self.modeled_total_s
-        if total <= 0.0:
-            return 0.0
-        return float(sum(it.t_comm_visible_s for it in self.iterations)) / total
-
-    @property
-    def fault_overhead_s(self) -> float:
-        """Σ modeled resilience overhead (0.0 without a fault model)."""
-        return float(sum(it.t_fault_s for it in self.iterations))
 
 
 # ----------------------------------------------------------------------
@@ -383,16 +366,16 @@ def simulate_batched(rep: SellCSigma, roots, *, batch: int | None,
                      slimwork: bool, profile, method: str, ranks: int,
                      machine: str, network: str,
                      overlap: float) -> DistBatchResult:
-    """Shared driver of both decompositions' batched paths.
+    """The batched half of :func:`simulate`.
 
-    Chops ``roots`` into groups of ``batch`` columns, runs one
+    Checks ``roots``, chops them into groups of ``batch`` columns, runs one
     :func:`batch_schedule` sweep per group, and hands each group's union
     schedule to the decomposition-specific ``profile`` callback
     (``schedule -> list[DistIterationStats]``); everything else — grouping,
     distance assembly, the result container — is decomposition-independent.
     """
     t0 = time.perf_counter()
-    roots = np.asarray(roots, dtype=np.int64)
+    roots = validate_roots(rep, roots)
     widths = group_widths(roots.size, batch)
     iterations: list[DistIterationStats] = []
     dists = []
@@ -407,6 +390,57 @@ def simulate_batched(rep: SellCSigma, roots, *, batch: int | None,
         dists=np.concatenate(dists), roots=roots, method=method, ranks=ranks,
         machine=machine, network=network, batch=max(widths), overlap=overlap,
         groups=len(widths), iterations=iterations,
+        wall_time_s=time.perf_counter() - t0,
+    )
+
+
+def simulate(rep: SellCSigma, root, *, batch: int | None, slimwork: bool,
+             faults, profile, kind: str, ranks: int, machine: str,
+             network: Network,
+             overlap: float) -> DistBFSResult | DistBatchResult:
+    """The one driver of both decompositions.
+
+    A root sequence runs :func:`simulate_batched`; a scalar root runs the
+    real single-source engine once (:func:`run_global_bfs`) and profiles
+    the schedule of that run's own iteration log.  Every profiled sweep
+    passes through :func:`~repro.dist.faults.faulted_profile` with one
+    injector for the whole call, so a batched sweep's groups draw from the
+    same evolving stream instead of replaying the seed per group.
+    ``profile`` (``schedule -> list[DistIterationStats]``), ``ranks`` and the
+    ``machine`` label are the decomposition's; ``kind`` (``"dist-1d"`` or
+    ``"dist-2d"``) gains ``+slimwork`` in the result's ``method``.
+    """
+    # Imported here: repro.dist.faults imports this module.
+    from repro.dist.faults import fault_injector, faulted_profile
+
+    injector = fault_injector(faults)
+
+    def faulted(schedule) -> list[DistIterationStats]:
+        return faulted_profile(profile(schedule), injector, ranks=ranks,
+                               network=network, nwords=rep.N,
+                               bytes_per_word=BYTES_PER_WORD)
+
+    method = kind + ("+slimwork" if slimwork else "")
+    if np.ndim(root) != 0:
+        return simulate_batched(
+            rep, root, batch=batch, slimwork=slimwork, profile=faulted,
+            method=method, ranks=ranks, machine=machine,
+            network=network.name, overlap=overlap)
+    if batch is not None and batch != 1:
+        raise ValueError("batch= requires a sequence of roots; "
+                         "pass root=[...] for a multi-source sweep")
+    if not 0 <= root < rep.n:
+        raise ValueError(f"root {root} out of range [0, {rep.n})")
+    t0 = time.perf_counter()
+    res, levels = run_global_bfs(rep, root, slimwork)
+    schedule = [
+        (it.k, 1, it.newly,
+         active_chunk_mask(levels, rep.nc, rep.C, it.k, slimwork))
+        for it in res.iterations
+    ]
+    return DistBFSResult(
+        dist=res.dist, root=root, method=method, ranks=ranks,
+        machine=machine, network=network.name, iterations=faulted(schedule),
         wall_time_s=time.perf_counter() - t0,
     )
 

@@ -51,6 +51,7 @@ from repro.dist.bfs1d import machine_label, per_rank_machines, profile_1d
 from repro.dist.faults import (
     DistFaultInjector,
     DistFaultModel,
+    fault_injector,
     faulted_profile,
 )
 from repro.dist.network import Network, get_network
@@ -65,7 +66,7 @@ from repro.serve.workload import (
     run_open_loop,
     sample_zipf_roots,
 )
-from repro.vec.machine import Machine, get_machine, get_machines
+from repro.vec.machine import get_machine, get_machines
 
 __all__ = [
     "DistServiceModel",
@@ -175,11 +176,7 @@ class DistServiceModel:
         self.network = network
         self.slimwork = slimwork
         self.overlap = overlap
-        self.injector = (
-            faults
-            if faults is None or isinstance(faults, DistFaultInjector)
-            else DistFaultInjector(faults)
-        )
+        self.injector = fault_injector(faults)
         self.cache = cache if cache is not None else SweepCache(
             rep, slimwork=slimwork
         )

@@ -150,6 +150,42 @@ class TestGate:
         assert gate.check(tmp_path, 0.25, 1.0, repeats=1) == 0
 
 
+def run_deterministic(gate, tmp_path, fresh, deterministic=True, inject=1.0):
+    """Gate ``fresh`` against a fixed baseline at the default 25% tolerance."""
+    run, extract = make_bench(gate, fresh)
+    gate.BENCHES = {"stub": ("BENCH_stub.json", run, extract, deterministic)}
+    write_baseline(tmp_path, {"speedup": 4.0, "bytes": 1000})
+    return gate.check(tmp_path, 0.25, inject, repeats=1)
+
+
+class TestDeterministicGate:
+    """A deterministic bench's points are pure functions of the code, so it
+    fails any regression beyond float noise, whatever --tolerance says."""
+
+    @pytest.mark.parametrize("fresh", [
+        {"speedup": 3.96, "bytes": 1000},
+        {"speedup": 4.0, "bytes": 1010},
+    ])
+    def test_one_percent_worse_fails(self, gate, tmp_path, fresh):
+        assert run_deterministic(gate, tmp_path, fresh) == 1
+        # The same drift is inside a timing bench's tolerance.
+        assert run_deterministic(gate, tmp_path, fresh,
+                                 deterministic=False) == 0
+
+    @pytest.mark.parametrize("fresh", [
+        {"speedup": 4.0, "bytes": 1000},
+        {"speedup": 4.04, "bytes": 990},
+    ])
+    def test_identical_or_better_passes(self, gate, tmp_path, fresh):
+        assert run_deterministic(gate, tmp_path, fresh) == 0
+
+    def test_inject_trips_at_any_slowdown(self, gate, tmp_path):
+        # --inject still scales the timing-flagged points, which an exact
+        # bound flags at any factor above 1.
+        p = {"speedup": 4.0, "bytes": 1000}
+        assert run_deterministic(gate, tmp_path, p, inject=1.01) == 1
+
+
 class TestOnlySelection:
     def test_only_restricts_benches(self, gate, tmp_path):
         # Two stub benches, one of them failing; --only the healthy one

@@ -94,6 +94,36 @@ class TestTermination:
         assert res.iterations[-1].newly == 0
 
 
+class TestRootContract:
+    """One root-input contract for both decompositions, batched or not."""
+
+    @pytest.fixture(scope="class")
+    def rep(self):
+        g = path_graph(10)
+        return SlimSell(g, 4, g.n)
+
+    @pytest.mark.parametrize("decomposition", ["1d", "2d"])
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("make_root, error", [
+        (lambda n: n, "out of range"),
+        (lambda n: -1, "out of range"),
+        (lambda n: [0, n], "out of range"),
+        (lambda n: [0, -1], "out of range"),
+        (lambda n: [], "non-empty 1-D"),
+        (lambda n: [[0, 1]], "non-empty 1-D"),
+    ], ids=["n", "-1", "[0,n]", "[0,-1]", "[]", "[[0,1]]"])
+    def test_rejected(self, rep, decomposition, batch, make_root, error):
+        root = make_root(rep.n)
+        if batch is not None and np.ndim(root) == 0:
+            error = "requires a sequence of roots"
+        with pytest.raises(ValueError, match=error):
+            if decomposition == "1d":
+                bfs_dist_1d(rep, root, Partition1D.blocks(rep.nc, 2),
+                            KNL, CRAY_ARIES, batch=batch)
+            else:
+                bfs_dist_2d(rep, root, (2, 2), KNL, CRAY_ARIES, batch=batch)
+
+
 class TestAllgatherMonotonicity:
     def test_monotone_in_ranks(self):
         for net in (CRAY_ARIES, ETHERNET_10G):

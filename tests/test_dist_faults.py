@@ -21,6 +21,7 @@ from repro.dist import (
     get_network,
     model_checkpoint,
 )
+from repro.dist.faults import fault_injector
 from repro.dist.partition import Partition1D
 from repro.dist.result import DistIterationStats
 from repro.formats.slimsell import SlimSell
@@ -119,6 +120,20 @@ class TestDistFaultInjector:
         inj = DistFaultInjector(DistFaultModel(rank_failure_prob=0.05))
         hits = sum(inj.rank_failed(200) for _ in range(100))
         assert hits > 90
+
+    def test_fault_injector_normalizes_faults_argument(self):
+        # The one faults= normalization of both decompositions and the
+        # planner: None and a prebuilt injector pass through, a model gets
+        # a fresh injector on its own seed.
+        model = DistFaultModel(straggler_prob=0.5, seed=3)
+        inj = DistFaultInjector(model)
+        assert fault_injector(None) is None
+        assert fault_injector(inj) is inj
+        fresh = fault_injector(model)
+        assert isinstance(fresh, DistFaultInjector)
+        assert fresh is not fault_injector(model)
+        assert fresh.model is model
+        assert fresh.rng.bit_generator.state == inj.rng.bit_generator.state
 
 
 class TestApplyDistFaults:
