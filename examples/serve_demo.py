@@ -5,7 +5,7 @@ The batched engines make a BFS ~B× cheaper per source when B frontier
 columns share one SpMM sweep — but users send single-root queries, one at
 a time.  This demo walks the layer that bridges the gap:
 
-1. sync ``submit()``/``drain()`` with duplicate-root coalescing;
+1. sync ``submit()``/``drain()``, a duplicate root attaching to the MSHR;
 2. the LRU result cache absorbing a hot-root storm;
 3. an open-loop Poisson/Zipf workload, micro-batched vs per-query
    dispatch (the throughput headline, measured honestly: both sides serve
@@ -45,7 +45,7 @@ def main() -> None:
     widths = {t.result().batch_width for t in tickets}
     print("\n-- 1. submit/drain --")
     print(f"5 queries, {server.stats.batches} batch of width {widths} "
-          f"({server.batcher.coalesced} coalesced duplicate)")
+          f"({server.stats.mshr_hits} duplicate attached to the MSHR)")
 
     # Reductions share the traversal: connectivity and validation ride on
     # the same cached BFS the distance query produced.

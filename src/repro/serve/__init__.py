@@ -9,16 +9,17 @@ single-root queries.  This subsystem is the layer between the two:
   :class:`~repro.serve.query.Ticket` — single-root requests (BFS
   distances, connectivity membership, Graph500-style validation) and
   their pending handles;
-* :class:`~repro.serve.batcher.QueryBatcher` — coalesces pending queries
-  into (N, B) batches on a width (``max_batch``) or deadline
-  (``max_wait``) trigger, sharing one frontier column per duplicate root;
+* :class:`~repro.serve.batcher.QueryBatcher` — groups pending frontier
+  columns, one per MSHR entry, into (N, B) batches on a width
+  (``max_batch``) or deadline (``max_wait``) trigger;
 * :class:`~repro.serve.cache.ResultCache` — bounded LRU keyed on
   (epoch, semiring, root), consulted before enqueue; results commit at
   their batch's virtual completion time, never at dispatch;
-* :class:`~repro.serve.mshr.MissStatusRegistry` — the MSHR: misses on a
-  root that is already pending or in flight attach as waiters on the
-  outstanding traversal (one frontier column no matter how many users),
-  and ``Server.invalidate()`` bumps the epoch for O(1) invalidation;
+* :class:`~repro.serve.mshr.MissStatusRegistry` — the MSHR, the one
+  place duplicates are found: misses on a root that is already pending
+  or in flight attach as waiters on the outstanding traversal (one
+  frontier column no matter how many users or query kinds), and
+  ``Server.invalidate()`` bumps the epoch for O(1) invalidation;
 * :class:`~repro.serve.server.Server` — the synchronous driver
   (``submit()`` / ``drain()``) with backpressure and latency/throughput
   accounting, plus :class:`~repro.serve.server.AsyncServer`, the asyncio

@@ -1,30 +1,28 @@
-"""Adaptive micro-batching of pending queries.
+"""Adaptive micro-batching of pending frontier columns.
 
-The batched engines (PRs 2–3) make a traversal ~B× cheaper *per source*
-when B frontier columns share one SpMM sweep — but only if someone turns
+The batched engines make a traversal ~B× cheaper *per source* when B
+frontier columns share one SpMM sweep — but only if someone turns
 independently-arriving single-root queries into (N, B) batches.  That is
 this module: pending tickets accumulate in per-semiring groups (one SpMM
 sweep runs one semiring), and a group is released as a :class:`Batch`
 when either
 
-* **width** — ``max_batch`` distinct roots accumulated (the profitable
-  batch is full), or
+* **width** — ``max_batch`` columns accumulated (the profitable batch is
+  full), or
 * **deadline** — ``max_wait`` seconds elapsed since the group's oldest
   pending query (latency SLO beats batch efficiency), or
 * **drain** — the owner flushes unconditionally (shutdown / sync barrier).
 
-Duplicate roots coalesce: tickets asking the same ``(semiring, root)``
-share one frontier column and are all resolved from its single traversal,
-so k users hammering one root cost the same kernel work as one user.
-(Inside a :class:`~repro.serve.server.Server`, duplicates are normally
-absorbed upstream by the MSHR — :mod:`repro.serve.mshr` — which also
-covers roots already *dispatched*; the batcher's own coalescing remains
-for standalone use and as a defense-in-depth backstop.)
+Every enqueued ticket is one frontier column: the batcher does not
+deduplicate.  Inside a :class:`~repro.serve.server.Server` the MSHR
+(:mod:`repro.serve.mshr`) does: a duplicate of a pending or in-flight root
+attaches to that root's entry, so only a miss's primary ticket ever
+reaches the batcher, and the entry fans the one traversal out to every
+waiter.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +37,12 @@ class Batch:
     """One released group: the unit of work handed to an engine."""
 
     semiring: str
-    #: int64[B] roots, column order = first-enqueue order.  Distinct per
-    #: coalescing key; a root can repeat only across cache epochs.
+    #: int64[B] roots, column order = enqueue order.
     roots: np.ndarray
-    #: ``tickets[j]`` are the (coalesced) tickets answered by column ``j``.
-    tickets: list[list[Ticket]]
+    #: ``tickets[j]`` is the ticket that enqueued column ``j``; inside a
+    #: server it is the primary of an MSHR entry (``tickets[j].mshr``)
+    #: whose waiters the column answers.
+    tickets: list[Ticket]
     #: Enqueue timestamp of the group's oldest query.
     enqueued_at: float
     #: What released the batch: ``"width" | "deadline" | "drain"``.
@@ -51,27 +50,19 @@ class Batch:
 
     @property
     def width(self) -> int:
-        """Number of frontier columns (distinct roots)."""
+        """Number of frontier columns."""
         return int(self.roots.size)
-
-    @property
-    def n_queries(self) -> int:
-        """Number of tickets resolved by this batch (≥ width)."""
-        return sum(len(ts) for ts in self.tickets)
 
 
 @dataclass
 class QueryBatcher:
-    """Coalescing queue that releases (N, B) batches by width or deadline."""
+    """Per-semiring queue that releases (N, B) batches by width or deadline."""
 
     max_batch: int = 16
     max_wait: float = 2e-3
-    #: Queries that shared an already-pending root's column.
-    coalesced: int = 0
-    #: semiring → (root → tickets), insertion-ordered per group.
-    _groups: dict[str, OrderedDict[int, list[Ticket]]] = field(
-        default_factory=dict, repr=False)
-    #: semiring → enqueue time of the group's oldest pending root.
+    #: semiring → pending tickets (one column each), oldest first.
+    _groups: dict[str, list[Ticket]] = field(default_factory=dict, repr=False)
+    #: semiring → enqueue time of the group's oldest pending ticket.
     _first: dict[str, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -82,43 +73,22 @@ class QueryBatcher:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Distinct pending roots (frontier columns if flushed now)."""
+        """Pending tickets (frontier columns if flushed now)."""
         return sum(len(g) for g in self._groups.values())
-
-    @property
-    def pending_queries(self) -> int:
-        """Pending tickets, counting coalesced duplicates."""
-        return sum(len(ts) for g in self._groups.values()
-                   for ts in g.values())
 
     # ------------------------------------------------------------------
     def enqueue(self, ticket: Ticket, now: float) -> None:
-        """Add one pending ticket at timestamp ``now`` (coalescing).
-
-        Tickets that carry an MSHR entry coalesce on the entry's full
-        key — epoch included — so a root resubmitted after an
-        ``invalidate()`` gets its own column instead of silently sharing
-        the stale epoch's pending traversal.  Standalone tickets (no
-        server upstream) coalesce on the root alone, as before.
-        """
-        semiring, root = ticket.query.batch_key
-        gkey = ticket.mshr.key if ticket.mshr is not None else root
-        group = self._groups.setdefault(semiring, OrderedDict())
-        if gkey in group:
-            group[gkey].append(ticket)
-            self.coalesced += 1
-            return
+        """Add one pending ticket — one frontier column — at ``now``."""
+        semiring = ticket.query.semiring
+        group = self._groups.setdefault(semiring, [])
         if not group:
             self._first[semiring] = now
-        group[gkey] = [ticket]
+        group.append(ticket)
 
     def register_metrics(self, registry,
                          prefix: str = "serve.batcher") -> None:
         """Publish live views of the queue under ``prefix``."""
         registry.register_view(f"{prefix}.pending_roots", lambda: len(self))
-        registry.register_view(f"{prefix}.pending_queries",
-                               lambda: self.pending_queries)
-        registry.register_view(f"{prefix}.coalesced", lambda: self.coalesced)
         registry.register_view(f"{prefix}.max_batch", lambda: self.max_batch)
 
     def next_deadline(self) -> float | None:
@@ -131,7 +101,7 @@ class QueryBatcher:
     def ready(self, now: float) -> list[Batch]:
         """Release every batch due at ``now`` (full-width first).
 
-        Width-triggered releases pop exactly ``max_batch`` roots (oldest
+        Width-triggered releases pop exactly ``max_batch`` columns (oldest
         first); a busy group can release several full batches from one
         call.  Deadline-triggered releases pop the whole remaining group.
         """
@@ -160,17 +130,14 @@ class QueryBatcher:
     def _pop(self, semiring: str, width: int, reason: str) -> Batch:
         group = self._groups[semiring]
         first = self._first[semiring]
-        roots = np.empty(width, dtype=np.int64)
-        tickets: list[list[Ticket]] = []
-        for j in range(width):
-            _, ts = group.popitem(last=False)
-            roots[j] = ts[0].query.root
-            tickets.append(ts)
+        tickets = group[:width]
+        del group[:width]
         if group:
-            # The remaining oldest root's first ticket restarts the clock.
-            self._first[semiring] = next(iter(group.values()))[0].submitted_at
+            # The remaining oldest ticket restarts the clock.
+            self._first[semiring] = group[0].submitted_at
         else:
             del self._groups[semiring]
             del self._first[semiring]
+        roots = np.array([t.query.root for t in tickets], dtype=np.int64)
         return Batch(semiring=semiring, roots=roots, tickets=tickets,
                      enqueued_at=first, reason=reason)

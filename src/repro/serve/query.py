@@ -11,11 +11,12 @@ served graph:
   five-check tree validation (answer: ``True``, or the check raises).
 
 Every kind shares the same expensive sub-problem — a traversal from
-``root`` under ``semiring`` — which is exactly what the batcher coalesces
-and the cache memoizes: two queries of different kinds on the same
-``(semiring, root)`` share one frontier column and one cache entry, and
-only the cheap *reduction* (nothing / a distance lookup / the validator)
-differs per ticket.
+``root`` under ``semiring`` — which is exactly what the MSHR
+(:mod:`repro.serve.mshr`) deduplicates and the cache memoizes: two
+queries of different kinds on the same ``(semiring, root)`` share one
+MSHR entry, hence one frontier column, and one cache entry, and only the
+cheap *reduction* (nothing / a distance lookup / the validator) differs
+per ticket.
 """
 
 from __future__ import annotations
@@ -59,11 +60,6 @@ class Query:
                              f"expected one of {KINDS}")
         if self.kind == "reachability" and self.target is None:
             raise ValueError("reachability queries need a target vertex")
-
-    @property
-    def batch_key(self) -> tuple[str, int]:
-        """The coalescing key: queries sharing it share one BFS column."""
-        return (self.semiring, self.root)
 
 
 @dataclass

@@ -195,17 +195,8 @@ class ServeStats:
 
     @property
     def kernel_throughput(self) -> float:
-        """Kernel-resolved queries per *useful* kernel second.
-
-        Excludes cache hits and stale serves (both answered from the
-        cache) from the numerator and wasted kernel seconds (batches
-        whose every waiter timed out) from the denominator, so the metric
-        stays a goodput rate under fault injection instead of silently
-        deflating.
-        """
-        kernel_served = self.served - self.cache_hits - self.stale_serves
-        useful = self.kernel_s - self.kernel_s_wasted
-        return kernel_served / useful if useful > 0 else 0.0
+        """Kernel-resolved queries per *useful* kernel second (lifetime)."""
+        return _goodput(self._counts())
 
     def latency_percentile(self, p: float) -> float:
         """``p``-th percentile (0–100) of *kernel-path* latencies."""
@@ -215,35 +206,64 @@ class ServeStats:
         """``p``-th percentile (0–100) of cache-hit latencies."""
         return percentile(self.cache_latencies, p)
 
-    def summary(self) -> dict:
-        """Plain-dict snapshot (JSON-friendly; used by benches/CLI)."""
+    def _counts(self) -> dict:
+        return {attr: c.value for attr, c in self._counters.items()}
+
+    def mark(self) -> dict:
+        """Where every counter and population stands now.
+
+        Pass it back as ``summary(since=mark)`` to summarize only what
+        was counted after this call — one workload run's figures on a
+        shared server.
+        """
+        return {"counts": self._counts(), "reasons": dict(self.reasons),
+                "widths": len(self.widths),
+                "latencies": len(self.latencies),
+                "cache_latencies": len(self.cache_latencies)}
+
+    def summary(self, since: dict | None = None) -> dict:
+        """Plain-dict figures (JSON-friendly; used by benches/CLI).
+
+        Lifetime figures by default; with ``since`` (a :meth:`mark`) the
+        figures of everything counted after that mark.
+        """
+        c = self._counts()
+        reasons = dict(self.reasons)
+        widths, lat, clat = self.widths, self.latencies, self.cache_latencies
+        if since is not None:
+            c = {attr: v - since["counts"][attr] for attr, v in c.items()}
+            old = since["reasons"]
+            reasons = {r: n - old.get(r, 0) for r, n in reasons.items()
+                       if n > old.get(r, 0)}
+            widths = widths[since["widths"]:]
+            lat = lat[since["latencies"]:]
+            clat = clat[since["cache_latencies"]:]
+        lat = np.asarray(lat, dtype=np.float64)
         return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "rejected": self.rejected,
-            "cache_hits": self.cache_hits,
-            "mshr_hits": self.mshr_hits,
-            "batches": self.batches,
-            "mean_batch_width": self.mean_batch_width,
-            "reasons": dict(self.reasons),
-            "kernel_s": self.kernel_s,
-            "kernel_s_wasted": self.kernel_s_wasted,
-            "kernel_throughput_qps": self.kernel_throughput,
-            "latency_p50_s": self.latency_percentile(50),
-            "latency_p95_s": self.latency_percentile(95),
-            "latency_p99_s": self.latency_percentile(99),
-            "cache_latency_p50_s": self.cache_latency_percentile(50),
-            "cache_latency_p99_s": self.cache_latency_percentile(99),
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "failed": self.failed,
-            "failed_batches": self.failed_batches,
-            "sheds": self.sheds,
-            "stale_serves": self.stale_serves,
-            "cache_flakes": self.cache_flakes,
-            "breaker_opens": self.breaker_opens,
-            "breaker_closes": self.breaker_closes,
+            **c,
+            "mean_batch_width": float(np.mean(widths)) if widths else 0.0,
+            "reasons": reasons,
+            "kernel_throughput_qps": _goodput(c),
+            "latency_p50_s": percentile(lat, 50),
+            "latency_p95_s": percentile(lat, 95),
+            "latency_p99_s": percentile(lat, 99),
+            "latency_mean_s": float(lat.mean()) if lat.size else 0.0,
+            "cache_latency_p50_s": percentile(clat, 50),
+            "cache_latency_p99_s": percentile(clat, 99),
         }
+
+
+def _goodput(c: dict) -> float:
+    """Kernel-resolved queries per *useful* kernel second, from counts.
+
+    Excludes cache hits and stale serves (both answered from the cache)
+    from the numerator and wasted kernel seconds (batches whose every
+    waiter timed out) from the denominator, so the figure stays a goodput
+    rate under fault injection instead of silently deflating.
+    """
+    kernel_served = c["served"] - c["cache_hits"] - c["stale_serves"]
+    useful = c["kernel_s"] - c["kernel_s_wasted"]
+    return kernel_served / useful if useful > 0 else 0.0
 
 
 def _counter_property(attr: str, metric: str) -> property:
@@ -496,9 +516,11 @@ class Server:
         target, non-positive deadline — raises :class:`ValueError` (a
         client error, not backpressure).
         """
+        # Unknown semiring: raise here, not at flush.  Aliases ("selmax",
+        # "SEL_MAX") key the cache, MSHR, batcher and engines by one name.
+        semiring = get_semiring(semiring).name
         query = Query(root=int(root), kind=kind, semiring=semiring,
                       target=None if target is None else int(target))
-        get_semiring(semiring)  # unknown semiring: raise here, not at flush
         n = self.rep.n
         if not 0 <= query.root < n:
             raise ValueError(f"root {query.root} out of range [0, {n})")
@@ -583,7 +605,7 @@ class Server:
             return ticket
 
         if (self.max_pending is not None
-                and self.batcher.pending_queries >= self.max_pending):
+                and len(self.batcher) >= self.max_pending):
             self.cache.record_rejected_lookup()
             self._finish(ticket, Rejected(query), now,
                          ("serve.reject", now, now,
@@ -596,7 +618,7 @@ class Server:
         self.batcher.enqueue(ticket, now)
         if tracer is not None:
             tracer.record("serve.enqueue", now, now, parent=ticket.span,
-                          pending=self.batcher.pending_queries)
+                          pending=len(self.batcher))
         self._pump(now)
         return ticket
 
@@ -704,7 +726,7 @@ class Server:
                 "serve.batch", t=start, track="server",
                 semiring=batch.semiring, width=batch.width,
                 reason=batch.reason, engine=name,
-                queries=batch.n_queries)
+                queries=sum(len(t.mshr.waiters) for t in batch.tickets))
             if delay > 0.0:
                 tracer.record("serve.retry.backoff", start, start + delay,
                               parent=bspan, retries=attempt)
@@ -728,8 +750,8 @@ class Server:
             links = {"batch_span": bspan.span_id,
                      "kernel_span": kspan.span_id}
         out: list[QueryResult] = []
-        for j, res in enumerate(results):
-            entry = self._entry_for(batch, j)
+        for primary, res in zip(batch.tickets, results):
+            entry = primary.mshr
             self.mshr.dispatch(entry, res, completion, batch.width, name)
             entry.kernel_span = kspan
             for i, ticket in enumerate(entry.waiters):
@@ -759,8 +781,8 @@ class Server:
         st.failed_batches += 1
         self._busy_until = max(self._busy_until, completion)
         out: list[QueryResult] = []
-        for j in range(batch.width):
-            entry = self._entry_for(batch, j)
+        for primary in batch.tickets:
+            entry = primary.mshr
             for ticket in entry.waiters:
                 qr = Failed(ticket.query, error=str(exc) or repr(exc),
                             latency_s=completion - ticket.submitted_at)
@@ -773,25 +795,6 @@ class Server:
             # drain the queue sooner; restored when the breaker closes.
             self.batcher.max_batch = max(1, self.batcher.max_batch // 2)
         return out
-
-    def _entry_for(self, batch: Batch, j: int) -> MSHREntry:
-        """The MSHR entry owning column ``j`` of ``batch``.
-
-        ``submit()`` always allocates one before enqueueing, so the
-        primary ticket carries it; tickets enqueued into the batcher
-        directly (bypassing the server) get an entry synthesized here,
-        and any batcher-level coalesced duplicates are folded into the
-        waiter list so fan-out stays the single resolution path.
-        """
-        tickets = batch.tickets[j]
-        entry = tickets[0].mshr
-        if entry is None:
-            entry = self.mshr.allocate(
-                (self.epoch, batch.semiring, int(batch.roots[j])), tickets[0])
-        for t in tickets[1:]:
-            if t.mshr is None:
-                self.mshr.attach(entry, t)
-        return entry
 
     def _answer(self, entry: MSHREntry, ticket: Ticket) -> QueryResult:
         """What a waiter on the dispatched ``entry`` gets: its traversal,

@@ -16,15 +16,16 @@ Two classic load models drive a :class:`~repro.serve.server.Server` on a
   saturation benchmark, and the upper bound of what batching can harvest
   (every round offers ``clients`` concurrent roots).
 
-Both return a JSON-friendly report with throughput (kernel and
-virtual-wall), latency percentiles, batch-width and cache statistics.
+Both return a JSON-friendly report: the run's own
+:meth:`~repro.serve.server.ServeStats.summary` (throughput, latency
+percentiles, batch-width, cache and resilience counts) plus its query
+count, virtual makespan and virtual-wall throughput.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.metrics import percentile
 from repro.serve.server import Server
 
 __all__ = [
@@ -112,7 +113,7 @@ def run_open_loop(server: Server, roots: np.ndarray, arrivals: np.ndarray,
                          "non-empty sequences")
     if np.any(np.diff(arrivals) < 0):
         raise ValueError("arrivals must be non-decreasing")
-    before = _snapshot(server)
+    since = server.stats.mark()
     tickets = []
     for root, t in zip(roots, arrivals):
         due = server.batcher.next_deadline()
@@ -130,7 +131,7 @@ def run_open_loop(server: Server, roots: np.ndarray, arrivals: np.ndarray,
         due = server.batcher.next_deadline()
     server.drain(now=end)
     makespan = max(server.busy_until, end) - float(arrivals[0])
-    return _report(server, before, tickets, makespan,
+    return _report(server, since, tickets, makespan,
                    _workload_key("open-loop", kind, semiring,
                                  deadline=deadline, nqueries=int(roots.size),
                                  params=params))
@@ -159,7 +160,7 @@ def run_closed_loop(server: Server, roots: np.ndarray, *,
         clients = server.max_batch
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
-    before = _snapshot(server)
+    since = server.stats.mark()
     tickets = []
     start = max(0.0, server.busy_until)  # busy_until is -inf when idle
     now = start
@@ -169,7 +170,7 @@ def run_closed_loop(server: Server, roots: np.ndarray, *,
                                          semiring=semiring, now=now))
         server.drain(now=now)
         now = max(now, server.busy_until)
-    return _report(server, before, tickets, makespan=now - start,
+    return _report(server, since, tickets, makespan=now - start,
                    workload=_workload_key("closed-loop", kind, semiring,
                                           clients=int(clients),
                                           nqueries=int(roots.size),
@@ -189,27 +190,10 @@ def _workload_key(loop: str, kind: str, semiring: str, *,
     return out
 
 
-def _snapshot(server: Server) -> dict:
-    """Counters before a run, so a shared server reports per-run deltas."""
-    st, cs = server.stats, server.cache.stats
-    return {"served": st.served, "cache_hits": st.cache_hits,
-            "mshr_hits": st.mshr_hits,
-            "rejected": st.rejected, "kernel_s": st.kernel_s,
-            "kernel_s_wasted": st.kernel_s_wasted,
-            "batches": st.batches, "nlat": len(st.latencies),
-            "nclat": len(st.cache_latencies),
-            "nwidths": len(st.widths), "coalesced": server.batcher.coalesced,
-            "lookups": cs.lookups,
-            "timeouts": st.timeouts, "retries": st.retries,
-            "failed": st.failed, "failed_batches": st.failed_batches,
-            "sheds": st.sheds, "stale_serves": st.stale_serves,
-            "cache_flakes": st.cache_flakes,
-            "breaker_opens": st.breaker_opens}
-
-
-def _report(server: Server, before: dict, tickets: list,
+def _report(server: Server, since: dict, tickets: list,
             makespan: float, workload: dict | None = None) -> dict:
-    """Per-run counters and percentiles.
+    """One run's figures: ``server.stats.summary(since=...)`` over the
+    run, plus its query count, virtual makespan and throughput.
 
     ``latency_*`` keys cover the *kernel path* only (queries resolved by
     a traversal, including MSHR waiters that shared one); cache hits are
@@ -218,51 +202,13 @@ def _report(server: Server, before: dict, tickets: list,
     ``workload`` is echoed under the ``"workload"`` key (self-describing
     reports: loop shape, seed, arrival parameters).
     """
-    st = server.stats
-    lat = np.asarray(st.latencies[before["nlat"]:], dtype=np.float64)
-    clat = np.asarray(st.cache_latencies[before["nclat"]:], dtype=np.float64)
-    widths = st.widths[before["nwidths"]:]
-    served = st.served - before["served"]
-    kernel_s = st.kernel_s - before["kernel_s"]
-    # Cache hits and stale serves never ran a kernel.
-    kernel_served = (served - (st.cache_hits - before["cache_hits"])
-                     - (st.stale_serves - before["stale_serves"]))
-    # Goodput accounting: ``served`` excludes timed-out/failed queries,
-    # so kernel seconds that produced no served answer (batches whose
-    # every waiter timed out) are split out rather than left in the
-    # denominator — otherwise faulted runs silently deflate throughput.
-    kernel_s_wasted = st.kernel_s_wasted - before["kernel_s_wasted"]
-    kernel_s_useful = kernel_s - kernel_s_wasted
+    figures = server.stats.summary(since=since)
     makespan = float(max(makespan, 0.0))
+    served = figures["served"]
     return {
         "workload": workload if workload is not None else {},
         "nqueries": len(tickets),
-        "served": served,
-        "rejected": st.rejected - before["rejected"],
-        "cache_hits": st.cache_hits - before["cache_hits"],
-        "mshr_hits": st.mshr_hits - before["mshr_hits"],
-        "coalesced": server.batcher.coalesced - before["coalesced"],
-        "batches": st.batches - before["batches"],
-        "mean_batch_width": float(np.mean(widths)) if widths else 0.0,
-        "kernel_s": kernel_s,
-        "kernel_s_wasted": kernel_s_wasted,
-        "kernel_throughput_qps": (kernel_served / kernel_s_useful
-                                  if kernel_s_useful > 0 else 0.0),
+        **figures,
         "virtual_makespan_s": makespan,
         "virtual_throughput_qps": served / makespan if makespan > 0 else 0.0,
-        "latency_p50_s": percentile(lat, 50),
-        "latency_p95_s": percentile(lat, 95),
-        "latency_p99_s": percentile(lat, 99),
-        "latency_mean_s": float(lat.mean()) if lat.size else 0.0,
-        "cache_latency_p50_s": percentile(clat, 50),
-        "cache_latency_p99_s": percentile(clat, 99),
-        # Resilience counters (all zero under a fault-free run).
-        "timeouts": st.timeouts - before["timeouts"],
-        "retries": st.retries - before["retries"],
-        "failed": st.failed - before["failed"],
-        "failed_batches": st.failed_batches - before["failed_batches"],
-        "sheds": st.sheds - before["sheds"],
-        "stale_serves": st.stale_serves - before["stale_serves"],
-        "cache_flakes": st.cache_flakes - before["cache_flakes"],
-        "breaker_opens": st.breaker_opens - before["breaker_opens"],
     }

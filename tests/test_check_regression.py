@@ -69,7 +69,9 @@ class TestGate:
         assert run_gate(gate, tmp_path, p, p) == 0
 
     def test_within_tolerance_passes(self, gate, tmp_path):
-        fresh = {"speedup": 3.2, "bytes": 1200}
+        # Only the timing point gets the tolerance: bytes is clock-free
+        # and holds its baseline exactly (see TestClockFreePoints).
+        fresh = {"speedup": 3.2, "bytes": 1000}
         base = {"speedup": 4.0, "bytes": 1000}
         assert run_gate(gate, tmp_path, fresh, base) == 0
 
@@ -168,9 +170,11 @@ class TestDeterministicGate:
     ])
     def test_one_percent_worse_fails(self, gate, tmp_path, fresh):
         assert run_deterministic(gate, tmp_path, fresh) == 1
-        # The same drift is inside a timing bench's tolerance.
+        # A timing bench forgives the drift on its timing point only: its
+        # clock-free point (bytes) is gated exactly as well.
+        clock_free_drift = fresh["bytes"] != 1000
         assert run_deterministic(gate, tmp_path, fresh,
-                                 deterministic=False) == 0
+                                 deterministic=False) == int(clock_free_drift)
 
     @pytest.mark.parametrize("fresh", [
         {"speedup": 4.0, "bytes": 1000},
@@ -184,6 +188,21 @@ class TestDeterministicGate:
         # bound flags at any factor above 1.
         p = {"speedup": 4.0, "bytes": 1000}
         assert run_deterministic(gate, tmp_path, p, inject=1.01) == 1
+
+
+class TestClockFreePoints:
+    """A timing bench's clock-free points (serve's MSHR reuse ratios) are
+    seed-deterministic, so they gate exactly while its timing points keep
+    the tolerance."""
+
+    @pytest.mark.parametrize("nbytes, status", [(1010, 1), (1000, 0),
+                                                (990, 0)])
+    def test_clock_free_point_gated_exactly(self, gate, tmp_path, nbytes,
+                                            status):
+        # The timing point (speedup) is 1% worse in every case.
+        fresh = {"speedup": 3.96, "bytes": nbytes}
+        assert run_deterministic(gate, tmp_path, fresh,
+                                 deterministic=False) == status
 
 
 class TestOnlySelection:

@@ -54,11 +54,6 @@ class TestQuery:
         with pytest.raises(ValueError, match="target"):
             Query(root=0, kind="reachability")
 
-    def test_batch_key_coalesces_kinds(self):
-        a = Query(root=3, kind="distances")
-        b = Query(root=3, kind="reachability", target=5)
-        assert a.batch_key == b.batch_key
-
     def test_pending_ticket_raises(self):
         t = _ticket(0)
         assert not t.done
@@ -155,14 +150,17 @@ class TestQueryBatcher:
         assert batch.reason == "deadline" and batch.width == 2
         assert len(b) == 0 and b.next_deadline() is None
 
-    def test_duplicate_roots_coalesce(self):
+    def test_one_column_per_ticket(self):
+        # Deduplication belongs to the server's MSHR: the batcher gives
+        # every enqueued ticket its own column, even on a repeated root.
         b = QueryBatcher(max_batch=4, max_wait=60.0)
-        for _ in range(3):
-            b.enqueue(_ticket(7), now=0.0)
-        assert len(b) == 1 and b.pending_queries == 3
-        assert b.coalesced == 2
+        tickets = [_ticket(7) for _ in range(3)]
+        for t in tickets:
+            b.enqueue(t, now=0.0)
+        assert len(b) == 3
         (batch,) = b.flush_all()
-        assert batch.width == 1 and batch.n_queries == 3
+        assert batch.width == 3 and batch.roots.tolist() == [7, 7, 7]
+        assert all(a is t for a, t in zip(batch.tickets, tickets))
 
     def test_semirings_batch_separately(self):
         b = QueryBatcher(max_batch=2, max_wait=60.0)
@@ -300,6 +298,26 @@ class TestServer:
         assert server.stats.served == 3
         assert all(t.result().bfs is tickets[0].result().bfs
                    for t in tickets)
+
+    def test_kinds_and_semiring_aliases_share_one_column(self, served):
+        # Every kind on one root, under either spelling of sel-max, is
+        # one traversal: the server keys the MSHR, cache and engine pool
+        # by the canonical semiring name.
+        _, rep = served
+        server = Server(rep, max_batch=8, cache_size=8)
+        tickets = [server.submit(5, now=0.0),
+                   server.submit(5, kind="reachability", target=1, now=0.0),
+                   server.submit(5, semiring="selmax", now=0.0),
+                   server.submit(5, semiring="SEL_MAX", now=0.0)]
+        server.drain(now=0.0)
+        assert server.stats.widths == [1] and server.stats.mshr_hits == 3
+        assert all(t.result().bfs is tickets[0].result().bfs
+                   for t in tickets)
+        assert {t.result().query.semiring for t in tickets} == {"sel-max"}
+        assert len(server.pool._engines) == 1
+        later = server.submit(5, semiring="selmax",
+                              now=server.busy_until + 1.0)
+        assert later.result().cache_hit and len(server.cache) == 1
 
     def test_engine_selection_by_width(self, served):
         _, rep = served
@@ -693,6 +711,20 @@ class TestBugfixRegressions:
         assert second["virtual_makespan_s"] == pytest.approx(
             second["kernel_s"])
         assert second["virtual_throughput_qps"] > 0.0
+
+    def test_report_is_the_runs_own_summary(self, rep, kron_small):
+        # A run's report is ServeStats.summary over the run: on a fresh
+        # server the lifetime summary, and on a reused one only the
+        # run's own counts and batches.
+        server = Server(rep, max_batch=4, cache_size=0)
+        roots = np.arange(12) % kron_small.n
+        first = run_closed_loop(server, roots, clients=4)
+        lifetime = server.stats.summary()
+        assert {k: first[k] for k in lifetime} == lifetime
+        second = run_closed_loop(server, roots, clients=4)
+        assert second["submitted"] == 12
+        assert sum(second["reasons"].values()) == second["batches"]
+        assert server.stats.batches == first["batches"] + second["batches"]
 
     def test_all_timeout_batch_charges_wasted_kernel(self, rep):
         # A batch whose every waiter timed out contributes nothing to
