@@ -117,15 +117,16 @@ class _ChunkedLayout:
             np.cumsum(sizes[:-1], out=self.cs[1:])
         total = int(sizes.sum())
 
-        # Scatter neighbor ids into column-major chunk slots (vectorized).
+        # Scatter neighbor ids into column-major chunk slots (vectorized):
+        # CSR entry k of row r is its (k − indptr[r])-th neighbor, so it
+        # lands in slot cs[r // C] + r % C + (k − indptr[r])·C.
+        g = self.graph
+        rows = np.arange(n, dtype=np.int64)
+        slot = np.repeat(self.cs[rows // C] + rows % C - g.indptr[:-1] * C,
+                         g.degrees)
+        slot += C * np.arange(g.indices.size, dtype=np.int64)
         col = np.full(total, PAD, dtype=np.int32)
-        if self.graph.indices.size:
-            row_of = np.repeat(np.arange(n, dtype=np.int64), self.graph.degrees)
-            j_within = (np.arange(self.graph.indices.size, dtype=np.int64)
-                        - np.repeat(self.graph.indptr[:-1], self.graph.degrees))
-            chunk_of = row_of // C
-            slot = self.cs[chunk_of] + j_within * C + (row_of % C)
-            col[slot] = self.graph.indices
+        col[slot] = g.indices
         self.col = col
         self.build_time_s = time.perf_counter() - t0
 
@@ -181,10 +182,12 @@ class SellCSigma:
         self.iperm = lay.iperm
         self.graph = lay.graph
         self.graph_original = lay.graph_original
-        #: Gather-safe column indices: padding slots redirected to vertex 0;
-        #: the padding value annihilates their contribution.
-        self.col = np.where(lay.col == PAD, np.int32(0), lay.col)
         self._edge_mask = lay.edge_mask()
+        #: Gather-safe column indices: padding slots redirected to vertex 0;
+        #: the padding value annihilates their contribution.  A val-free
+        #: representation keeps the −1 markers its values are derived from.
+        self.col = (np.where(self._edge_mask, lay.col, np.int32(0))
+                    if self.has_val else lay.col)
         self._val_cache: dict[str, np.ndarray] = {}
         self._col64: np.ndarray | None = None
         self._row64: np.ndarray | None = None

@@ -16,43 +16,26 @@ kernels and memory-safe by construction.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.formats.sell import PAD, SellCSigma, _ChunkedLayout
-from repro.graphs.graph import Graph
-from repro.semirings.base import SemiringBFS
+from repro.formats.sell import SellCSigma
 
 
 class SlimSell(SellCSigma):
     """SlimSell representation: Sell-C-σ minus the ``val`` array.
 
     Shares all geometry with :class:`~repro.formats.sell.SellCSigma`;
-    ``col`` keeps the −1 padding markers and :meth:`val_for` derives values
-    on the fly (the engines use :attr:`derives_val` to issue the CMP+BLEND
-    pair instead of a val load).
+    ``col`` keeps the −1 padding markers (``has_val = False``) and
+    :meth:`val_for` derives values from them on the fly, which is what a
+    kernel computes in registers with the CMP+BLEND pair instead of a val
+    load.
     """
 
     name = "slimsell"
     has_val = False
 
-    def __init__(self, graph: Graph, C: int, sigma: int | None = None,
-                 _layout: _ChunkedLayout | None = None):
-        super().__init__(graph, C, sigma, _layout=_layout)
-        # Undo the gather-safe rewrite: SlimSell's col *is* the marker array.
-        self.col = self._layout.col
-
     @classmethod
     def from_sell(cls, sell: SellCSigma) -> "SlimSell":
         """Zero-copy conversion reusing an existing Sell-C-σ layout."""
         return cls(sell.graph_original, sell.C, sell.sigma, _layout=sell._layout)
-
-    def val_for(self, semiring: SemiringBFS) -> np.ndarray:
-        """Values derived from the markers (what a kernel computes in registers)."""
-        v = self._val_cache.get(semiring.name)
-        if v is None:
-            v = semiring.values_from_edge_mask(self.col != PAD)
-            self._val_cache[semiring.name] = v
-        return v
 
     # -- storage (Table III) ----------------------------------------------
     @property

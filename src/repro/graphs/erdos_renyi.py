@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _sort_unique
 
 
 def _pairs_from_ranks(ranks: np.ndarray, n: int) -> np.ndarray:
@@ -58,7 +58,7 @@ def erdos_renyi_nm(n: int, m: int, seed: int = 0) -> Graph:
         need = m
         while need > 0:
             cand = rng.integers(0, total, size=int(need * 1.2) + 8, dtype=np.int64)
-            ranks = np.unique(np.concatenate([ranks, cand]))
+            ranks = _sort_unique(np.concatenate([ranks, cand]))
             need = m - ranks.size
         ranks = rng.permutation(ranks)[:m]
     else:

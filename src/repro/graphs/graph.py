@@ -21,6 +21,25 @@ VERTEX_DTYPE = np.int32
 INDPTR_DTYPE = np.int64
 
 
+def _sort_unique(keys: np.ndarray) -> np.ndarray:
+    """Distinct values of ``keys`` in ascending order; sorts ``keys`` in place."""
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _csr_from_sorted_keys(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of ascending, distinct packed keys ``src·n + dst``.
+
+    Row ``r`` owns the keys in ``[r·n, (r+1)·n)``, so its pointer is one
+    binary search and its neighbors are the keys modulo ``n``, ascending.
+    """
+    nn = max(n, 1)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * nn)
+    return indptr, (keys % nn).astype(VERTEX_DTYPE)
+
+
 class Graph:
     """Undirected, unweighted, simple graph in CSR form.
 
@@ -71,22 +90,14 @@ class Graph:
         u, v = e[:, 0], e[:, 1]
         keep = u != v
         u, v = u[keep], v[keep]
-        # Canonicalize (min, max) and deduplicate via a packed 64-bit key.
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = lo * np.int64(n) + hi
-        key = np.unique(key)
-        lo = (key // n).astype(np.int64)
-        hi = (key % n).astype(np.int64)
-        # Symmetrize.
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(n + 1, dtype=INDPTR_DTYPE)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, dst.astype(VERTEX_DTYPE))
+        # Canonical (min, max) pairs packed as lo·n + hi, deduplicated by
+        # one sort; both directions then sort once more into CSR order.
+        nn = np.int64(max(n, 1))  # no edge survives the range check at n = 0
+        key = _sort_unique(np.minimum(u, v) * nn + np.maximum(u, v))
+        lo, hi = np.divmod(key, nn)
+        keys = np.concatenate([key, hi * nn + lo])
+        keys.sort()
+        return cls(*_csr_from_sorted_keys(n, keys))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -146,24 +157,14 @@ class Graph:
         n = self.n
         if perm.shape != (n,):
             raise ValueError(f"perm must have shape ({n},)")
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        if not np.array_equal(np.sort(perm), np.arange(n)):
+        hit = np.zeros(n, dtype=bool)
+        hit[perm] = True  # an id outside [-n, n) raises IndexError here
+        if not hit.all() or (n and perm.min() < 0):
             raise ValueError("perm is not a permutation of range(n)")
-        deg = self.degrees
-        new_deg = deg[inv]
-        indptr = np.zeros(n + 1, dtype=INDPTR_DTYPE)
-        np.cumsum(new_deg, out=indptr[1:])
-        # Neighbor list of new vertex i is the relabeled list of old vertex
-        # inv[i]: gather each old list into its new flat position, relabel.
-        starts = np.repeat(self.indptr[inv], new_deg)
-        within = np.arange(self.indices.size) - np.repeat(indptr[:-1], new_deg)
-        gathered = self.indices[starts + within]
-        indices = perm[gathered].astype(VERTEX_DTYPE)
-        # Re-sort each neighbor list (relabeling breaks sortedness).
-        row_of = np.repeat(np.arange(n, dtype=np.int64), new_deg)
-        order = np.lexsort((indices, row_of))
-        return Graph(indptr, indices[order])
+        # Entry (v, w) becomes (perm[v], perm[w]): pack and sort once.
+        keys = np.repeat(perm * n, self.degrees) + perm[self.indices]
+        keys.sort()
+        return Graph(*_csr_from_sorted_keys(n, keys))
 
     def edges(self) -> np.ndarray:
         """Canonical edge list ``(m, 2)`` with ``u < v`` per row."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _sort_unique
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def chung_lu(n: int, m: int, beta: float, seed: int = 0) -> Graph:
         if edges.size:
             key_old = edges[:, 0] * np.int64(n) + edges[:, 1]
             key = np.concatenate([key_old, key])
-        key = np.unique(key)
+        key = _sort_unique(key)
         edges = np.stack([key // n, key % n], axis=1)
         if edges.shape[0] >= target:
             edges = edges[rng.permutation(edges.shape[0])[:target]]

@@ -1,9 +1,16 @@
 """Unit tests for the core Graph structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.formats.slimsell import SlimSell
 from repro.graphs.graph import Graph
+from repro.graphs.kronecker import kronecker
+from repro.serve.cache import graph_fingerprint
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -132,3 +139,136 @@ class TestPermute:
         g = path_graph(4)
         with pytest.raises(ValueError, match="shape"):
             g.permute(np.arange(3))
+
+    def test_negative_ids_rejected(self):
+        # -2 wraps to 2 under indexing, so every new id is "hit".
+        g = path_graph(4)
+        with pytest.raises(ValueError, match="not a permutation"):
+            g.permute(np.array([3, 0, 1, -2]))
+
+    def test_out_of_range_id_raises_index_error(self):
+        g = path_graph(4)
+        with pytest.raises(IndexError, match="out of bounds"):
+            g.permute(np.array([0, 1, 2, 4]))
+
+    def test_empty_graph(self):
+        g = Graph.from_edges(0, np.empty((0, 2), dtype=np.int64))
+        assert g.permute(np.empty(0, dtype=np.int64)) == g
+
+
+# ----------------------------------------------------------------------
+# Exact construction: the sort-once builders against the formulation they
+# replaced, and the bytes of the graphs the benchmark and tests build.
+# ----------------------------------------------------------------------
+def _from_edges_reference(n, e):
+    """``(indptr, indices)`` by hash unique, two-key lexsort and ``add.at``."""
+    u, v = e[:, 0], e[:, 1]
+    keep = u != v
+    u, v = u[keep], v[keep]
+    key = np.unique(np.minimum(u, v) * np.int64(n) + np.maximum(u, v))
+    lo, hi = key // n, key % n
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src[order] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, dst[order].astype(np.int32)
+
+
+def _permute_reference(g, perm):
+    """``(indptr, indices)`` by gathering old rows, relabeling and lexsort."""
+    n = g.n
+    inv = np.empty(n, dtype=np.int64)
+    inv[perm] = np.arange(n)
+    if not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError("perm is not a permutation of range(n)")
+    new_deg = g.degrees[inv]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(new_deg, out=indptr[1:])
+    starts = np.repeat(g.indptr[inv], new_deg)
+    within = np.arange(g.indices.size) - np.repeat(indptr[:-1], new_deg)
+    indices = perm[g.indices[starts + within]].astype(np.int32)
+    row_of = np.repeat(np.arange(n, dtype=np.int64), new_deg)
+    return indptr, indices[np.lexsort((indices, row_of))]
+
+
+@st.composite
+def messy_edges(draw):
+    """``(n, edges)`` with duplicates, reverse duplicates and self-loops."""
+    n = draw(st.integers(min_value=0, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n == 0:
+        return 0, np.empty((0, 2), dtype=np.int64), rng
+    base = rng.integers(0, n, size=(draw(st.integers(0, 150)), 2))
+    loops = np.repeat(rng.integers(0, n, size=(draw(st.integers(0, 8)), 1)), 2, axis=1)
+    e = np.concatenate([base,
+                        base[rng.random(len(base)) < 0.3, ::-1],
+                        base[rng.random(len(base)) < 0.3],
+                        loops])
+    return n, rng.permutation(e), rng
+
+
+def _assert_csr_bytes(g, indptr, indices):
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+    assert g.indptr.tobytes() == indptr.tobytes()
+    assert g.indices.tobytes() == indices.tobytes()
+
+
+class TestAgainstReference:
+    SETTINGS = dict(deadline=None, max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+    @given(case=messy_edges())
+    @settings(**SETTINGS)
+    def test_from_edges_byte_identical(self, case):
+        n, e, _ = case
+        _assert_csr_bytes(Graph.from_edges(n, e), *_from_edges_reference(n, e))
+
+    @given(case=messy_edges())
+    @settings(**SETTINGS)
+    def test_permute_byte_identical(self, case):
+        n, e, rng = case
+        g = Graph.from_edges(n, e)
+        perm = rng.permutation(n)
+        _assert_csr_bytes(g.permute(perm), *_permute_reference(g, perm))
+
+    @given(case=messy_edges())
+    @settings(**SETTINGS)
+    def test_permute_rejects_what_reference_rejects(self, case):
+        n, e, rng = case
+        g = Graph.from_edges(n, e)
+        perm = rng.permutation(n)
+        if n:  # one id replaced by a duplicate, a wrapped or an out-of-range id
+            perm[rng.integers(n)] = rng.integers(-n - 2, n + 2)
+        try:
+            want = _permute_reference(g, perm)
+        except (IndexError, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                g.permute(perm)
+            assert str(got.value) == str(exc)
+        else:
+            _assert_csr_bytes(g.permute(perm), *want)
+
+
+#: ``(scale, edgefactor, seed)`` → graph fingerprint and the BLAKE2b-16 of
+#: the SlimSell C=16 layout's ``perm``, ``cs``, ``cl`` and ``col`` bytes.
+#: (14, 16, 1) is the benchmark graph; a changed generator stream or build
+#: changes every benchmark input.
+PINNED = [
+    ((10, 16, 1), "c9c55f41e2d877c387901f35dc194044", "f59551320ff7047614beff71d73930da"),
+    ((14, 16, 1), "e8ba855779847e6c660eeb07acfb2869", "99cd15f7ae0cbd956c72176931cda34d"),
+    ((12, 8, 7), "1908b1ca7898c0d1f694d89a7f9e962b", "e261f4e7422da5c223dea8fcfde657e1"),
+]
+
+
+@pytest.mark.parametrize("args, graph_digest, layout_digest", PINNED)
+def test_pinned_kronecker_and_slimsell_bytes(args, graph_digest, layout_digest):
+    scale, edgefactor, seed = args
+    g = kronecker(scale, edgefactor, seed=seed)
+    assert graph_fingerprint(g) == graph_digest
+    rep = SlimSell(g, 16)
+    h = hashlib.blake2b(digest_size=16)
+    for a in (rep.perm, rep.cs, rep.cl, rep.col):
+        h.update(a.tobytes())
+    assert h.hexdigest() == layout_digest
