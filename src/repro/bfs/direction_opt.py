@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.spmspv import expand_adjacency
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _first_unique
 
 
 def _bottom_up_step(graph: Graph, dist: np.ndarray, parent: np.ndarray,
@@ -108,7 +108,7 @@ def bfs_direction_optimizing(
             nbrs, seg = expand_adjacency(graph, frontier)
             src = frontier[seg]
             unvisited = ~np.isfinite(dist[nbrs])
-            newly, first = np.unique(nbrs[unvisited], return_index=True)
+            newly, first = _first_unique(nbrs[unvisited])
             dist[newly] = k
             parent[newly] = src[unvisited][first]
             examined = int(nbrs.size)

@@ -34,6 +34,7 @@ from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.spmspv import expand_adjacency
 from repro.bfs.spmv import BFSSpMV
 from repro.formats.sell import SellCSigma
+from repro.graphs.graph import _sort_unique
 from repro.semirings.base import get_semiring
 
 
@@ -109,7 +110,7 @@ def bfs_hybrid(
             nbrs, _ = expand_adjacency(graph, frontier)
             total = int(nbrs.size)
             if total:
-                cand = np.unique(nbrs[~np.isfinite(dist[nbrs])])
+                cand = _sort_unique(nbrs[~np.isfinite(dist[nbrs])])
             else:
                 cand = np.empty(0, dtype=np.int64)
             dist[cand] = k

@@ -11,11 +11,12 @@ Python-level loop overhead once per source.
 each semiring ``mul``/``add`` of the sweep serves all ``B`` sources at
 once: an SpMM sweep instead of B separate SpMV sweeps.  The kernel
 (:func:`sweep_band_layers`) folds chunks of equal length together, a
-cache-sized block of their column layers at a time.  The matrix operands
-(``col``, the derived ``val``) stream once per sweep regardless of B,
-which is exactly the amortization the batched counter model
+cache-sized block of their column layers at a time.  The matrix operand
+``col`` streams once per sweep regardless of B, which is exactly the
+amortization the batched counter model
 (:func:`repro.bfs.spmv.synthesize_counters` with ``batch=B``) accounts
-for.
+for.  With two matrix values (§III-B) no ``val`` streams at all: ⊗ is
+applied once per frontier row (:func:`premultiply`), not per slot.
 
 Semantics are *bit-identical* to the single-source layer engine, per
 source:
@@ -64,7 +65,9 @@ __all__ = [
     "build_rep",
     "chunk_mask",
     "compact_columns",
+    "edge_pad",
     "finalize_batch",
+    "premultiply",
     "run_in_batches",
     "snapshot_column",
     "spmm_layer_sweep",
@@ -164,8 +167,30 @@ def _live_chunks(scl: np.ndarray) -> np.ndarray:
     return np.searchsorted(-scl, -np.arange(int(scl[0])), side="left")
 
 
+def edge_pad(sr: SemiringBFS) -> np.ndarray:
+    """``(edge, pad)``, a BFS matrix's two values, as a sweep's ``val``."""
+    return np.array([sr.edge_value, sr.pad_value])
+
+
+def premultiply(sr: SemiringBFS, val: np.ndarray, f: np.ndarray,
+                pad_row: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``fx``: slot ``s``'s term ``val[s] ⊗ f[col[s]]`` is ``fx[col[s]]``.
+
+    With ``val = (edge, pad)``, rows ``0..N−1`` hold ``edge ⊗ f`` and the
+    sentinel row N, which the −1 marker reaches by wrap-around,
+    ``pad ⊗ f[pad_row]`` (:attr:`SellCSigma.pad_row`): each term is the
+    per-slot one bit for bit, on any input.  ``out`` may supply ``fx``.
+    """
+    if out is None:
+        out = np.empty((f.shape[0] + 1,) + f.shape[1:], dtype=f.dtype)
+    sr.mul(val[0], f, out=out[:-1])
+    if f.shape[0]:  # N = 0: no slot reads the sentinel
+        out[-1] = sr.mul(val[1], f[pad_row])
+    return out
+
+
 def _fold_slot_runs(sr: SemiringBFS, C: int, col: np.ndarray,
-                    val: np.ndarray, cs: np.ndarray, cl: np.ndarray,
+                    val: np.ndarray | None, cs: np.ndarray, cl: np.ndarray,
                     f_prev: np.ndarray, x_nd: np.ndarray, chunks: np.ndarray,
                     out: np.ndarray, row64: np.ndarray) -> None:
     """One frontier column: ⊕-scatter each run of contiguous chunk slots.
@@ -173,10 +198,10 @@ def _fold_slot_runs(sr: SemiringBFS, C: int, col: np.ndarray,
     ``chunks`` (global ids) are swept into rows ``out`` of ``x_nd``.  A run
     is a slot-order sequence of chunks whose slots abut and whose output
     rows keep one offset from their global rows; it is folded in blocks of
-    :data:`TAIL_BLOCK` slots by one gather, one ⊗ and one ``ufunc.at``
-    scatter.  ``ufunc.at`` applies updates in index order and a row's slots
-    ascend by layer, so every row folds ``carry ⊕ c₀ ⊕ c₁ ⊕ …`` exactly as
-    the per-layer loop does.
+    :data:`TAIL_BLOCK` slots by one gather, one ⊗ (none if ``val`` is
+    ``None``) and one ``ufunc.at`` scatter.  ``ufunc.at`` applies updates
+    in index order and a row's slots ascend by layer, so every row folds
+    ``carry ⊕ c₀ ⊕ c₁ ⊕ …`` exactly as the per-layer loop does.
     """
     if not x_nd.flags["C_CONTIGUOUS"]:
         # reshape() would return a copy and silently drop every update.
@@ -198,7 +223,8 @@ def _fold_slot_runs(sr: SemiringBFS, C: int, col: np.ndarray,
         for b0 in range(s0, s1, TAIL_BLOCK):
             b1 = min(b0 + TAIL_BLOCK, s1)
             rows = row64[b0:b1] - d if d else row64[b0:b1]
-            sr.add.at(x, rows, sr.mul(val[b0:b1], f[col[b0:b1]]))
+            src = f[col[b0:b1]]
+            sr.add.at(x, rows, src if val is None else sr.mul(val[b0:b1], src))
 
 
 def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
@@ -211,13 +237,14 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
 
     The sharded core of :func:`spmm_layer_sweep`: ``x_nd`` is a chunk-major
     accumulator view of shape ``(nb, C)`` or ``(nb, C, W)`` covering ``nb``
-    chunks — the whole representation (``nb = nc``) or one worker's row
-    band.  ``act`` holds *global* chunk ids (they index the matrix operands
-    ``cs``/``cl``); ``act_out`` holds the matching positions inside
-    ``x_nd`` and defaults to ``act`` (band == whole matrix).  ``f_prev``
-    always stays global: a chunk's gather may read any vertex's frontier
-    value, which is exactly why the executed backend has to exchange union
-    frontiers between sharded sweeps.
+    chunks — the whole representation (``nb = nc``) or a row band.
+    ``act`` holds *global* chunk ids (they index ``cs``/``cl``);
+    ``act_out`` holds the matching positions inside ``x_nd`` and defaults
+    to ``act``.  ``f_prev`` always stays global: a chunk's gather may read
+    any vertex.  The unweighted BFS sweeps pass ``fx`` (:func:`premultiply`,
+    known by its N + 1 rows) and its ``(edge, pad)`` pair as ``val``, so no
+    slot applies ⊗; an N-row ``f_prev`` (the weighted layout's weights) is
+    combined per slot, ``val[s] ⊗ f_prev[col[s]]``.
 
     A single frontier column (``x_nd`` of shape ``(nb, C)`` or
     ``(nb, C, 1)``) walks no layers: runs of active chunks with contiguous
@@ -225,21 +252,20 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     representation's slot → padded-row map (:attr:`SellCSigma.row64`).
     Wider batches split the active chunks into groups of equal length and
     fold each group in blocks ``(layers + 1, chunks, C, W)`` of at most
-    :data:`TAIL_BLOCK` elements: one gather of ``f_prev`` rows into
-    ``blk[1:]``, one in-place ⊗ and one ⊕ reduction over the leading axis
-    with the chunks' carry in ``blk[0]``.  The carry chains across a
-    group's layer blocks and is written back once per chunk block.  A
-    leading-axis reduction adds row after row, and exact lengths keep
-    padding out of it (even the ⊕ identity is not bit-neutral: −0.0 + 0.0
-    is +0.0).  Every path accumulates each chunk's rows over only their
-    own layers, in ascending order (so the real semiring's float sums
-    round exactly as a per-layer loop's), reading nothing but the fixed
-    ``f_prev`` — so sweeping ``act`` band by band is bit-identical to one
-    global sweep, for any partition.
+    :data:`TAIL_BLOCK` elements: one gather into ``blk[1:]`` (and the
+    per-slot ⊗, if any) and one ⊕ reduction over the leading axis with the
+    chunks' carry in ``blk[0]``, chained across a group's layer blocks and
+    written back once per chunk block.  A leading-axis reduction adds row
+    after row, and exact lengths keep padding out of it (even the ⊕
+    identity is not bit-neutral: −0.0 + 0.0 is +0.0).  Every path
+    accumulates each chunk's rows over only their own layers, in ascending
+    order (so the real semiring's float sums round exactly as a per-layer
+    loop's), reading nothing but the fixed source — so sweeping ``act``
+    in parts, band by band or in place, is bit-identical to one global
+    sweep, for any partition.
 
-    ``profile`` (optional) is the per-layer profiling hook: when a list is
-    passed, one ``(j, live_n)`` pair is appended per column layer swept —
-    layer index and the number of chunks at least ``j + 1`` layers long —
+    ``profile`` (optional): one ``(j, live_n)`` pair per column layer swept
+    — layer index and the number of chunks at least ``j + 1`` layers long,
     the shape the tracing engines attach to their layer spans.
     """
     if act.size == 0:
@@ -247,6 +273,7 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
     if profile is not None:
         live = _live_chunks(np.sort(cl[act])[::-1])
         profile.extend(enumerate(live.tolist()))
+    val = None if f_prev.shape[0] > cs.size * C else val  # fx: no ⊗
     if x_nd[0].size == C:  # one frontier column: no layer walk
         _fold_slot_runs(sr, C, col, val, cs, cl, f_prev, x_nd, act,
                         act if act_out is None else act_out, row64)
@@ -276,10 +303,11 @@ def sweep_band_layers(sr: SemiringBFS, C: int, col: np.ndarray,
                 blk[0] = carry if j0 else x_nd[rows]
                 idx = lay[j0:j1, None] + base[c0:c1]  # (layers, chunks, C)
                 # mode="wrap" writes straight into out= (the default mode
-                # buffers it) and maps SlimSell's −1 marker to row N−1,
-                # exactly as fancy indexing does.
+                # buffers it) and maps the −1 marker to the last row
+                # (fx's sentinel), exactly as fancy indexing does.
                 np.take(f_prev, col[idx], axis=0, out=blk[1:], mode="wrap")
-                sr.mul(val[idx][..., None], blk[1:], out=blk[1:])
+                if val is not None:
+                    sr.mul(val[idx][..., None], blk[1:], out=blk[1:])
                 carry = sr.add.reduce(blk, axis=0)
             x_nd[rows] = carry
 
@@ -289,21 +317,22 @@ def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
                      profile: list | None = None) -> None:
     """One semiring layer sweep over the active chunks, in place.
 
-    ``f_prev`` is the gathered operand — ``(N,)`` for a single source or
+    ``f_prev`` is the frontier — ``(N,)`` for a single source or
     ``(N, W)`` for a batch of W frontier columns; ``x_out`` is a contiguous
     accumulator of the same shape that already carries ``f_prev``'s values
     (inactive chunks keep their columns untouched).  ``act`` holds the
     indices of the chunks to process.  The matrix operands come from the
-    representation's memoized ``col64``/``row64``/``val_for`` caches, so
-    repeated sweeps stream the same arrays.
+    representation's memoized ``col64``/``row64`` caches, so repeated
+    sweeps stream the same arrays; no ``val`` is read, since the sweep
+    gathers from ``f_prev`` pre-multiplied once (:func:`premultiply`).
 
     With W >= 2, active chunks of equal length are folded together in
-    cache-sized blocks; every gather/mul/add of a block moves all W
-    columns at once (the SpMM amortization).  A single column is
-    scattered run by run instead.
+    cache-sized blocks; every gather/add of a block moves all W columns at
+    once (the SpMM amortization).  A single column is scattered run by run
+    instead.
     The inner loop is :func:`sweep_band_layers` over the whole chunk range;
     the executed parallel backend (:mod:`repro.exec`) drives the same core
-    over per-worker row bands.
+    over per-worker chunk sets.
     """
     if act.size == 0:
         return
@@ -314,8 +343,10 @@ def spmm_layer_sweep(rep: SellCSigma, sr: SemiringBFS, f_prev: np.ndarray,
                          "column block, not a sliced view)")
     batched = f_prev.ndim == 2
     x_nd = x_out.reshape((rep.nc, rep.C, -1) if batched else (rep.nc, rep.C))
-    sweep_band_layers(sr, rep.C, rep.col64, rep.val_for(sr), rep.cs, rep.cl,
-                      f_prev, x_nd, act, profile=profile, row64=rep.row64)
+    val = edge_pad(sr)
+    fx = premultiply(sr, val, f_prev, rep.pad_row)
+    sweep_band_layers(sr, rep.C, rep.col64, val, rep.cs, rep.cl, fx, x_nd,
+                      act, profile=profile, row64=rep.row64)
 
 
 def snapshot_column(st: BFSState, j: int) -> BFSState:
@@ -505,9 +536,9 @@ class _BatchLoop:
 
         The single extension point the executed parallel backend
         (:mod:`repro.exec`) overrides: it shards ``act`` across workers,
-        sweeps each row band concurrently, and reassembles the union
-        result here — everything else in the loop (SlimWork masks,
-        postprocess, termination, stats) is shared verbatim.
+        which fold their chunks concurrently into one union accumulator
+        — everything else in the loop (SlimWork masks, postprocess,
+        termination, stats) is shared verbatim.
         """
         # Carry: inactive chunks keep their columns.  Every gather of the
         # sweep moves all live columns at once.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bfs.msbfs import sweep_band_layers
+from repro.bfs.msbfs import spmm_layer_sweep
 from repro.formats.sell import SellCSigma
 from repro.semirings.base import SemiringBFS, get_semiring
 
@@ -35,9 +35,6 @@ class SlimSpMV:
         self.rep = rep
         self.semiring = (get_semiring(semiring)
                          if isinstance(semiring, str) else semiring)
-        self._col = rep.col64  # memoized on the representation
-        self._row = rep.row64
-        self._val = rep.val_for(self.semiring)
         self._chunks = np.arange(rep.nc)
 
     @property
@@ -57,23 +54,19 @@ class SlimSpMV:
         """Batched product ``Y = A ⊗ X`` over an ``(n, B)`` column block.
 
         The SpMM core shared with :meth:`__call__` (a B=1 column block):
-        the column-layer kernel :func:`~repro.bfs.msbfs.sweep_band_layers`
-        over every chunk, into a zero accumulator, so the ``col``/``val``
-        streams are read once regardless of B.  Column ``b`` of the result
+        the layer sweep :func:`~repro.bfs.msbfs.spmm_layer_sweep` over every
+        chunk, into a zero accumulator, so the ``col`` stream is read once
+        regardless of B, and no ``val`` at all.  Column ``b`` of the result
         is bit-identical to ``self(X[:, b])``.
         """
         rep, sr = self.rep, self.semiring
-        n, N, C = rep.n, rep.N, rep.C
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != n:
-            raise ValueError(f"X must have shape ({n}, B), got {X.shape}")
-        B = X.shape[1]
-        Xp = np.full((N, B), sr.zero)
+        if X.ndim != 2 or X.shape[0] != rep.n:
+            raise ValueError(f"X must have shape ({rep.n}, B), got {X.shape}")
+        Xp = np.full((rep.N, X.shape[1]), sr.zero)
         Xp[rep.perm] = X
-        Y = np.full((N, B), sr.zero)
-        sweep_band_layers(sr, C, self._col, self._val, rep.cs, rep.cl, Xp,
-                          Y.reshape(rep.nc, C, B), self._chunks,
-                          row64=self._row)
+        Y = np.full(Xp.shape, sr.zero)
+        spmm_layer_sweep(rep, sr, Xp, Y, self._chunks)
         return Y[rep.perm]
 
     def power_iterate(self, x0: np.ndarray, steps: int) -> np.ndarray:

@@ -218,13 +218,14 @@ class BFSSpMV:
         return chunk_mask(self.semiring.settled_lanes(st), self.rep.C)
 
     def _run_layer(self, proot: int) -> tuple[BFSState, list[IterationStats]]:
-        from repro.bfs.msbfs import chunk_mask, sweep_band_layers
+        from repro.bfs.msbfs import (chunk_mask, edge_pad, premultiply,
+                                     sweep_band_layers)
 
         rep, sr = self.rep, self.semiring
         C, nc, N = rep.C, rep.nc, rep.N
         st = sr.init_state(rep.n, N, proot)
-        col, val, row64 = rep.col64, rep.val_for(sr), rep.row64  # memoized
-        cs, cl = rep.cs, rep.cl
+        col, row64 = rep.col64, rep.row64  # memoized
+        cs, cl, val, pad_row = rep.cs, rep.cl, edge_pad(sr), rep.pad_row
         every = np.arange(nc)
         cap = self.max_iters if self.max_iters is not None else N + 1
         iters: list[IterationStats] = []
@@ -236,9 +237,10 @@ class BFSSpMV:
             act = (np.flatnonzero(chunk_mask(sr.settled_lanes(st), C))
                    if self.slimwork else every)
             x_raw = st.f.copy()  # carry: skipped chunks keep their old values
-            # Sweep even an empty active set: perfbench's probe counts one
-            # sweep per iteration here.
-            sweep_band_layers(sr, C, col, val, cs, cl, st.f,
+            # Sweep even an empty active set (perfbench's probe counts one
+            # sweep per iteration here); build fx only for a chunk to fold.
+            fx = premultiply(sr, val, st.f, pad_row) if act.size else st.f
+            sweep_band_layers(sr, C, col, val, cs, cl, fx,
                               x_raw.reshape(nc, C), act, row64=row64)
             newly = sr.postprocess(st, x_raw)
             stats = IterationStats(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.bfs.result import BFSResult, IterationStats
 from repro.bfs.spmspv import expand_adjacency
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _first_unique
 
 
 def bfs_serial(graph: Graph, root: int) -> BFSResult:
@@ -74,7 +74,7 @@ def bfs_top_down(graph: Graph, root: int, max_iters: int | None = None) -> BFSRe
         nbrs, seg = expand_adjacency(graph, frontier)
         src = frontier[seg]
         unvisited = ~np.isfinite(dist[nbrs])
-        cand, first = np.unique(nbrs[unvisited], return_index=True)
+        cand, first = _first_unique(nbrs[unvisited])
         dist[cand] = k
         parent[cand] = src[unvisited][first]
         frontier = cand

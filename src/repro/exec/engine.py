@@ -6,10 +6,11 @@ exactly one step — the union layer sweep — with a sharded execution over a
 
 1. the iteration's active chunks are split by owner
    (``act[owner[act] == r]``),
-2. each worker sweeps its band against the global previous frontier
-   (:mod:`repro.exec.pool` backends), and
-3. the leader reassembles the union result — the executed counterpart of
-   the allgather :func:`repro.dist.bfs1d.bfs_dist_1d` charges at the same
+2. the leader stages the carry and the pre-multiplied global frontier,
+   each worker folds its own chunks in place into the one union
+   accumulator (:mod:`repro.exec.pool` backends), and
+3. the leader takes the union result — the executed counterpart of the
+   allgather :func:`repro.dist.bfs1d.bfs_dist_1d` charges at the same
    point of the iteration.
 
 Everything else — SlimWork masks, semiring postprocess, per-source
@@ -17,7 +18,7 @@ termination and stats — runs unchanged in the base class, which is why
 every worker count and backend is bit-identical to
 :func:`repro.bfs.msbfs.bfs_msbfs` (each chunk's accumulator rows depend
 only on the fixed ``f_prev``, so who sweeps which chunk cannot change any
-value).  ``workers=1`` *is* the base engine with an extra band copy.
+value).  ``workers=1`` *is* the base engine, staged through the backend.
 
 Each union iteration appends an :class:`ExecLayerStats` to
 ``layer_profile`` — measured per-worker compute seconds and leader-side
@@ -56,12 +57,12 @@ class ExecLayerStats:
     width:
         Frontier columns still live this iteration.
     t_workers:
-        Measured per-worker compute seconds (band copy-in + layer sweep;
-        for the process backend also the band write into shared memory).
+        Measured per-worker compute seconds: the in-place fold of the
+        worker's active chunks.
     t_exchange_s:
-        Leader-side union assembly seconds (process backend: frontier
-        broadcast + union gather) — the executed stand-in for the
-        modeled allgather.
+        Leader-side exchange seconds: the carry write and the workers'
+        pre-multiplied frontier (process backend: plus the union copy
+        out) — the executed stand-in for the modeled allgather.
     chunks_per_worker:
         Active chunks each worker swept this iteration.
     exchanged_bytes:
@@ -103,8 +104,8 @@ class ExecMultiSourceBFS(MultiSourceBFS):
     Parameters (beyond :class:`~repro.bfs.msbfs.MultiSourceBFS`)
     ----------
     workers:
-        Worker count; ``1`` reproduces the base engine exactly (one band
-        covering every chunk).
+        Worker count; ``1`` reproduces the base engine exactly (one worker
+        owning every chunk).
     backend:
         ``"serial"`` (sequential shards, clean per-shard timing — the
         calibration backend), ``"threads"`` (persistent thread pool), or

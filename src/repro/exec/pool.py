@@ -1,18 +1,16 @@
 """Shard-execution backends for the executed parallel SpMM sweep.
 
 A backend owns one worker per :class:`~repro.dist.partition.Partition1D`
-rank and runs the layer sweep of each rank's chunk band concurrently,
+rank and runs the layer sweep of each rank's chunks concurrently,
 mirroring the structure :func:`repro.dist.bfs1d.bfs_dist_1d` *models*:
-
-* every worker reads the **global** frontier matrix ``f_prev`` (the state
-  after the previous iteration's allgather),
-* sweeps only its own chunk band into a **private** band accumulator
-  (:func:`repro.bfs.msbfs.sweep_band_layers` with band-local output
-  positions), and
-* the leader reassembles the union result — the executed stand-in for the
-  allgather the dist model charges, and the copy whose time
-  :func:`repro.dist.calibrate.calibrate` compares against
-  :func:`~repro.dist.network.model_allgather`.
+the leader writes the carry (``f_prev``) into the union accumulator and
+the frontier, pre-multiplied once (:func:`repro.bfs.msbfs.premultiply`),
+where every worker gathers from it — the executed stand-in for the
+allgather whose time :func:`repro.dist.calibrate.calibrate` compares
+against :func:`~repro.dist.network.model_allgather` — and every worker
+folds its own active chunks in place into that accumulator, at their
+global ids.  Chunks own disjoint rows, so no band is copied out or
+written back, for any partition.
 
 Three implementations share that protocol:
 
@@ -25,16 +23,15 @@ Three implementations share that protocol:
     concurrent backends cannot beat wall clock.
 ``threads``
     A persistent :class:`~concurrent.futures.ThreadPoolExecutor`; numpy
-    releases the GIL for the large gather/compare kernels, so bands
+    releases the GIL for the large gather/compare kernels, so shards
     overlap on multicore hosts.  Per-worker spans include scheduler
     interleaving — use ``serial`` for calibration-grade attribution.
 ``process``
     A persistent pool of forked workers around two
-    :class:`~multiprocessing.shared_memory.SharedMemory` blocks: the
-    leader broadcasts ``f_prev`` into one, workers sweep their bands and
-    write the disjoint band rows into the other, and the leader gathers
-    the union copy out.  Matrix operands are inherited copy-on-write at
-    fork time, so nothing but the frontier crosses a process boundary.
+    :class:`~multiprocessing.shared_memory.SharedMemory` blocks (the
+    frontier, the accumulator the leader copies the union out of).
+    Matrix operands are inherited copy-on-write at fork time, so nothing
+    but the frontier crosses a process boundary.
 
 ``run_layer`` returns ``(x_raw, t_workers, t_exchange_s)``: the union
 accumulator (bit-identical to one global sweep), per-worker compute
@@ -49,7 +46,7 @@ from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
-from repro.bfs.msbfs import sweep_band_layers
+from repro.bfs.msbfs import edge_pad, premultiply, sweep_band_layers
 from repro.formats.sell import SellCSigma
 from repro.semirings.base import SemiringBFS
 
@@ -74,31 +71,6 @@ def idle_times(t_workers) -> tuple[float, ...]:
     return tuple(slowest - t for t in t_workers)
 
 
-def _band_rows(chunks: np.ndarray, C: int) -> np.ndarray:
-    """Padded row ids (length ``len(chunks)·C``) of a chunk band."""
-    lane = np.arange(C, dtype=np.int64)
-    return (chunks[:, None] * C + lane).ravel()
-
-
-def _sweep_shard(sr: SemiringBFS, C: int, col: np.ndarray, val: np.ndarray,
-                 cs: np.ndarray, cl: np.ndarray, row64: np.ndarray,
-                 chunks: np.ndarray, rows: np.ndarray, f_prev: np.ndarray,
-                 act_r: np.ndarray) -> np.ndarray:
-    """One worker's iteration: copy its band out of ``f_prev``, sweep it.
-
-    ``f_prev`` is the ``(N, W)`` frontier matrix.  Returns the flat band
-    accumulator (``len(rows)`` rows of ``W`` columns).  The fancy-index
-    read is a fresh copy, so the sweep never writes through into the
-    shared frontier.
-    """
-    x_band = f_prev[rows]  # fancy index -> private copy
-    act_out = np.searchsorted(chunks, act_r)
-    shape = (chunks.size, C, f_prev.shape[1])
-    sweep_band_layers(sr, C, col, val, cs, cl, f_prev, x_band.reshape(shape),
-                      act_r, act_out, row64=row64)
-    return x_band
-
-
 class _ShardBackend:
     """Shared operand plumbing of the three backends."""
 
@@ -109,12 +81,12 @@ class _ShardBackend:
         self.sr = sr
         self.C = rep.C
         self.col = rep.col64
-        self.val = rep.val_for(sr)
+        self.val = edge_pad(sr)
         self.cs = rep.cs
         self.cl = rep.cl
         self.row64 = rep.row64
+        self.pad_row = rep.pad_row
         self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
-        self.rows = [_band_rows(s, rep.C) for s in self.shards]
 
     @property
     def workers(self) -> int:
@@ -133,13 +105,23 @@ class _ShardBackend:
         self.close()
 
     # ------------------------------------------------------------------
-    def _gather(self, f_prev: np.ndarray, bands: list[np.ndarray]):
-        """Assemble the union accumulator from per-worker bands, timed."""
+    def _stage(self, f_prev, act_parts, fx=None, x_raw=None):
+        """Leader: the carry into ``x_raw`` and, if a chunk is active, ``fx``
+        (else the workers read none of ``f_prev``); timed."""
         t0 = time.perf_counter()
-        x_raw = np.empty_like(f_prev)
-        for rows, band in zip(self.rows, bands):
-            x_raw[rows] = band
-        return x_raw, time.perf_counter() - t0
+        x_raw = np.empty_like(f_prev) if x_raw is None else x_raw
+        x_raw[...] = f_prev
+        if any(a.size for a in act_parts):
+            f_prev = premultiply(self.sr, self.val, f_prev, self.pad_row, fx)
+        return f_prev, x_raw, time.perf_counter() - t0
+
+    def _fold(self, fx, x_raw, act_r) -> float:
+        """One worker's iteration: fold ``act_r`` into ``x_raw``; seconds."""
+        t0 = time.perf_counter()
+        x_nd = x_raw.reshape((self.cs.size, self.C) + x_raw.shape[1:])
+        sweep_band_layers(self.sr, self.C, self.col, self.val, self.cs,
+                          self.cl, fx, x_nd, act_r, row64=self.row64)
+        return time.perf_counter() - t0
 
 
 class SerialBackend(_ShardBackend):
@@ -148,20 +130,13 @@ class SerialBackend(_ShardBackend):
     name = "serial"
 
     def run_layer(self, f_prev, act_parts):
-        bands, t_workers = [], []
-        for r in range(self.workers):
-            t0 = time.perf_counter()
-            bands.append(_sweep_shard(
-                self.sr, self.C, self.col, self.val, self.cs, self.cl,
-                self.row64, self.shards[r], self.rows[r], f_prev,
-                act_parts[r]))
-            t_workers.append(time.perf_counter() - t0)
-        x_raw, t_exchange = self._gather(f_prev, bands)
+        fx, x_raw, t_exchange = self._stage(f_prev, act_parts)
+        t_workers = [self._fold(fx, x_raw, act_r) for act_r in act_parts]
         return x_raw, t_workers, t_exchange
 
 
 class ThreadBackend(_ShardBackend):
-    """Persistent thread pool over released-GIL numpy band sweeps."""
+    """Persistent thread pool over released-GIL numpy chunk folds."""
 
     name = "threads"
 
@@ -171,35 +146,23 @@ class ThreadBackend(_ShardBackend):
             max_workers=max(1, self.workers),
             thread_name_prefix="repro-exec")
 
-    def _timed_shard(self, r: int, f_prev, act_r):
-        t0 = time.perf_counter()
-        band = _sweep_shard(self.sr, self.C, self.col, self.val, self.cs,
-                            self.cl, self.row64, self.shards[r], self.rows[r],
-                            f_prev, act_r)
-        return band, time.perf_counter() - t0
-
     def run_layer(self, f_prev, act_parts):
-        futures = [self._pool.submit(self._timed_shard, r, f_prev,
-                                     act_parts[r])
-                   for r in range(self.workers)]
-        done = [f.result() for f in futures]
-        bands = [band for band, _ in done]
-        t_workers = [t for _, t in done]
-        x_raw, t_exchange = self._gather(f_prev, bands)
-        return x_raw, t_workers, t_exchange
+        fx, x_raw, t_exchange = self._stage(f_prev, act_parts)
+        futures = [self._pool.submit(self._fold, fx, x_raw, act_r)
+                   for act_r in act_parts]
+        return x_raw, [f.result() for f in futures], t_exchange
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
 
 
-def _worker_main(conn, shm_f, shm_x, sr, C, col, val, cs, cl, row64, chunks,
-                 rows):
-    """Forked worker loop: sweep one band per message until ``None``.
+def _worker_main(conn, shm_f, shm_x, backend):
+    """Forked worker loop: fold one chunk set per message until ``None``.
 
-    Everything heavy (matrix operands, the chunk band) arrived through the
-    fork; only ``(shape, dtype, act_r)`` messages and timing floats cross
-    the pipe.  The worker reads the global frontier out of ``shm_f`` and
-    writes its disjoint band rows into ``shm_x``.
+    Everything heavy (the matrix operands on ``backend``) arrived through
+    the fork; only ``(shape, dtype, act_r)`` messages and timing floats
+    cross the pipe.  The worker gathers from ``fx`` in ``shm_f`` and folds
+    its chunks in place into the accumulator in ``shm_x``.
     """
     try:
         while True:
@@ -207,14 +170,10 @@ def _worker_main(conn, shm_f, shm_x, sr, C, col, val, cs, cl, row64, chunks,
             if msg is None:
                 break
             shape, dtype_str, act_r = msg
-            t0 = time.perf_counter()
             dt = np.dtype(dtype_str)
-            f_prev = np.ndarray(shape, dtype=dt, buffer=shm_f.buf)
-            band = _sweep_shard(sr, C, col, val, cs, cl, row64, chunks, rows,
-                                f_prev, act_r)
-            x_out = np.ndarray(shape, dtype=dt, buffer=shm_x.buf)
-            x_out[rows] = band
-            conn.send(time.perf_counter() - t0)
+            fx = np.ndarray((shape[0] + 1,) + shape[1:], dt, shm_f.buf)
+            x_raw = np.ndarray(shape, dt, shm_x.buf)
+            conn.send(backend._fold(fx, x_raw, act_r))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass
     finally:
@@ -222,7 +181,7 @@ def _worker_main(conn, shm_f, shm_x, sr, C, col, val, cs, cl, row64, chunks,
 
 
 class ProcessBackend(_ShardBackend):
-    """Persistent forked-worker pool over two shared-memory frontiers.
+    """Persistent forked-worker pool over two shared-memory blocks.
 
     ``capacity_elems`` sizes the shared blocks (elements of ``dtype``);
     the owning engine recreates the backend if a later frontier outgrows
@@ -244,7 +203,8 @@ class ProcessBackend(_ShardBackend):
             raise ValueError(
                 "backend='process' needs the fork start method; "
                 "use backend='threads' on this platform") from None
-        self._shm_f = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._shm_f = shared_memory.SharedMemory(  # fx: one row more
+            create=True, size=nbytes + nbytes // max(rep.N, 1))
         self._shm_x = shared_memory.SharedMemory(create=True, size=nbytes)
         self._conns = []
         self._procs = []
@@ -253,9 +213,7 @@ class ProcessBackend(_ShardBackend):
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child, self._shm_f, self._shm_x, self.sr, self.C,
-                          self.col, self.val, self.cs, self.cl, self.row64,
-                          self.shards[r], self.rows[r]),
+                    args=(child, self._shm_f, self._shm_x, self),
                     daemon=True)
                 proc.start()
                 child.close()
@@ -271,20 +229,18 @@ class ProcessBackend(_ShardBackend):
                 f"frontier ({f_prev.size} x {f_prev.dtype}) exceeds the "
                 f"pool capacity ({self.capacity_elems} x {self.dtype}); "
                 "the engine must recreate the backend")
-        shape = f_prev.shape
-        t0 = time.perf_counter()
-        fview = np.ndarray(shape, dtype=f_prev.dtype, buffer=self._shm_f.buf)
-        fview[...] = f_prev  # broadcast: leader -> every worker's gather
-        t_broadcast = time.perf_counter() - t0
-        msg_dtype = f_prev.dtype.str
+        shape, dt = f_prev.shape, f_prev.dtype
+        # Broadcast: fx for every worker's gather, the carry to fold into.
+        _, xview, t_stage = self._stage(
+            f_prev, act_parts,
+            np.ndarray((shape[0] + 1,) + shape[1:], dt, self._shm_f.buf),
+            np.ndarray(shape, dt, self._shm_x.buf))
         for r, conn in enumerate(self._conns):
-            conn.send((shape, msg_dtype, act_parts[r]))
+            conn.send((shape, dt.str, act_parts[r]))
         t_workers = [conn.recv() for conn in self._conns]
         t0 = time.perf_counter()
-        xview = np.ndarray(shape, dtype=f_prev.dtype, buffer=self._shm_x.buf)
-        x_raw = xview.copy()  # gather: every worker's band -> leader
-        t_exchange = t_broadcast + (time.perf_counter() - t0)
-        return x_raw, t_workers, t_exchange
+        x_raw = xview.copy()  # gather: the union accumulator -> leader
+        return x_raw, t_workers, t_stage + (time.perf_counter() - t0)
 
     def close(self) -> None:
         for conn in self._conns:

@@ -236,19 +236,24 @@ class SellCSigma:
     # -- hot-path operands ------------------------------------------------
     @property
     def col64(self) -> np.ndarray:
-        """``col`` widened to int64 for fancy indexing, materialized once.
+        """The layout's ``col`` widened to int64, materialized once.
 
         The layer engines index ``f[col[idx]]`` on every column layer of
-        every traversal; memoizing the widened copy here (per instance,
-        since SlimSell's ``col`` keeps the −1 markers while Sell-C-σ's is
-        gather-safe) means repeated-traversal workloads — 64 Graph500
-        roots, n betweenness sources — pay the astype exactly once.
+        every traversal; memoizing the widened copy here means
+        repeated-traversal workloads — 64 Graph500 roots, n betweenness
+        sources — pay the astype exactly once.  Every representation keeps
+        its −1 markers here: they select ``fx``'s sentinel row.
         """
         c = self._col64
         if c is None:
-            c = self.col.astype(np.int64)
+            c = self._layout.col.astype(np.int64)
             self._col64 = c
         return c
+
+    @property
+    def pad_row(self) -> int:
+        """Row a padding slot's ``col`` reads (0 gather-safe, N − 1 marker)."""
+        return 0 if self.has_val else self.N - 1
 
     @property
     def row64(self) -> np.ndarray:

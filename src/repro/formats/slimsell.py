@@ -11,7 +11,8 @@ memory traffic of Sell-C-σ.
 Gather safety: NumPy interprets index −1 as "last element", so gathering
 ``f[col]`` on a padding slot reads a valid cell whose contribution the
 blended annihilator value kills — semantically identical to the paper's
-kernels and memory-safe by construction.
+kernels and memory-safe by construction.  The layer engines never form
+``val`` at all (:func:`repro.bfs.msbfs.premultiply`).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ class SlimSell(SellCSigma):
 
     Shares all geometry with :class:`~repro.formats.sell.SellCSigma`;
     ``col`` keeps the −1 padding markers (``has_val = False``) and
-    :meth:`val_for` derives values from them on the fly, which is what a
+    :meth:`val_for` derives values from them on demand, which is what a
     kernel computes in registers with the CMP+BLEND pair instead of a val
-    load.
+    load.  The BFS engines never call it.
     """
 
     name = "slimsell"

@@ -29,6 +29,17 @@ def _sort_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _first_unique(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_index=True)`` for ids >= 0, by sorting the
+    packed keys ``id·len + position`` once: an id's first key is its first."""
+    size = max(ids.size, 1)
+    keys = ids * np.int64(size) + np.arange(ids.size)
+    keys.sort()
+    u = keys // size
+    first = np.diff(u, prepend=-1) != 0
+    return u[first].astype(ids.dtype), keys[first] % size
+
+
 def _csr_from_sorted_keys(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of ascending, distinct packed keys ``src·n + dst``.
 

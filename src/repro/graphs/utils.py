@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, _sort_unique
 from repro.obs.metrics import percentile
 
 
@@ -28,8 +28,7 @@ def _bfs_levels(g: Graph, root: int) -> np.ndarray:
         starts = np.repeat(g.indptr[frontier], deg)
         within = np.arange(int(deg.sum())) - np.repeat(np.cumsum(deg) - deg, deg)
         nbrs = g.indices[starts + within]
-        cand = np.unique(nbrs[dist[nbrs] < 0])
-        cand = cand[dist[cand] < 0]
+        cand = _sort_unique(nbrs[dist[nbrs] < 0])
         dist[cand] = level
         frontier = cand
     return dist

@@ -10,6 +10,8 @@ persistent process pool, and the measured-vs-modeled calibration loop
 are covered here.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,6 +185,42 @@ class TestShardBoundaries:
         small = Partition1D.balanced(np.ones(3), 2)
         with pytest.raises(ValueError, match="chunks"):
             ExecMultiSourceBFS(kron_rep, workers=2, partition=small)
+
+
+class TestNonContiguousPartition:
+    """Workers fold their chunks in place into one shared accumulator, so
+    interleaved owners must leave every other rank's rows alone."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("semiring", SEMIRING_NAMES)
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_round_robin_owners_and_an_empty_rank(self, kron_rep, backend,
+                                                  semiring, width):
+        owner = np.arange(kron_rep.nc) % 3  # rank 3 owns nothing
+        part = Partition1D(owner, ranks=4)
+        roots = np.array([0, 5, 9, 77, 200])[:width]
+        exp = bfs_msbfs(kron_rep, roots, semiring, slimwork=True,
+                        counting=True)
+        got = bfs_exec(kron_rep, roots, semiring, workers=4, backend=backend,
+                       partition=part, slimwork=True, counting=True)
+        _assert_results_equal(got, exp)
+
+    def test_threads_under_fast_switching(self, kron_rep):
+        """More threads than cores, switching every microsecond: a lost or
+        torn row of the shared accumulator would change a bit."""
+        part = Partition1D(np.arange(kron_rep.nc) % 6, ranks=6)
+        roots = np.arange(0, 40, 5)
+        exp = bfs_msbfs(kron_rep, roots, "sel-max", slimwork=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ExecMultiSourceBFS(kron_rep, "sel-max", workers=6,
+                                    backend="threads", partition=part,
+                                    slimwork=True) as engine:
+                for _ in range(3):
+                    _assert_results_equal(engine.run(roots), exp)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProcessBackend:

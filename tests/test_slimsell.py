@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.bfs.hybrid import bfs_hybrid
+from repro.bfs.msbfs import MultiSourceBFS
+from repro.bfs.mshybrid import MultiSourceHybridBFS
+from repro.bfs.operator import SlimSpMV
+from repro.bfs.spmv import BFSSpMV
+from repro.bfs.traditional import bfs_top_down
+from repro.exec import BACKENDS, ExecMultiSourceBFS
 from repro.formats.sell import PAD, SellCSigma
 from repro.formats.slimsell import SlimSell
 from repro.graphs.kronecker import kronecker
 from repro.semirings.base import get_semiring
 
-from conftest import path_graph, star_graph
+from conftest import SEMIRING_NAMES, path_graph, star_graph
 
 
 class TestMarkers:
@@ -30,6 +37,47 @@ class TestMarkers:
         for name in ("tropical", "boolean", "real", "sel-max"):
             sr = get_semiring(name)
             np.testing.assert_array_equal(slim.val_for(sr), sell.val_for(sr))
+
+
+class TestNoValInTheEngines:
+    """§III-B: SlimSell stores no ``val``, and its BFS engines build none."""
+
+    @pytest.fixture()
+    def slim(self, monkeypatch):
+        def refuse(self, semiring):
+            raise AssertionError("a SlimSell engine materialized val")
+
+        g = kronecker(8, 8, seed=7)
+        rep = SlimSell(g, C=8, sigma=g.n)
+        monkeypatch.setattr(SlimSell, "val_for", refuse)
+        return rep
+
+    @pytest.mark.parametrize("semiring", SEMIRING_NAMES)
+    def test_bfs_engines(self, slim, semiring):
+        g = slim.graph_original
+        roots = [0, 5, 9]
+        want = [bfs_top_down(g, r).dist for r in roots]
+        runs = [
+            [BFSSpMV(slim, semiring, slimwork=True).run(r) for r in roots],
+            MultiSourceBFS(slim, semiring, slimwork=True).run(roots),
+            MultiSourceHybridBFS(slim, semiring).run(roots),
+        ]
+        for backend in BACKENDS:
+            with ExecMultiSourceBFS(slim, semiring, workers=2, backend=backend) as ex:
+                runs.append(ex.run(roots))
+        if semiring == "tropical":
+            runs.append([bfs_hybrid(slim, r) for r in roots])
+        for results in runs:
+            for res, dist in zip(results, want):
+                np.testing.assert_array_equal(res.dist, dist)
+
+    @pytest.mark.parametrize("semiring", SEMIRING_NAMES)
+    def test_operator(self, slim, semiring):
+        sell = SellCSigma(slim.graph_original, C=8, sigma=slim.n)
+        x = np.random.default_rng(1).random((slim.n, 3))
+        np.testing.assert_array_equal(
+            SlimSpMV(slim, semiring).matmat(x), SlimSpMV(sell, semiring).matmat(x)
+        )
 
 
 class TestSharedLayout:

@@ -8,7 +8,9 @@ tests hold the kernel's raw accumulator, bit for bit, and its ``profile=``
 record to the per-layer loop below: one vectorized step per column layer,
 each chunk's contributions added in ascending layer order.  A single
 frontier column takes the kernel's run-scatter path, two or more its
-equal-length group fold; the widths below cover both.
+equal-length group fold; the widths below cover both.  The BFS callers
+feed the kernel a pre-multiplied frontier instead of per-slot values; the
+reference still multiplies every slot by ``val_for(sr)``.
 """
 
 from functools import cache
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bfs import msbfs
-from repro.bfs.msbfs import TAIL_BLOCK, sweep_band_layers
+from repro.bfs.msbfs import TAIL_BLOCK, edge_pad, premultiply, sweep_band_layers
 from repro.formats.sell import SellCSigma
 from repro.formats.slimsell import SlimSell
 from repro.graphs.kronecker import kronecker
@@ -30,7 +32,7 @@ SEMIRINGS = ["tropical", "real", "boolean", "sel-max"]
 # compacted to its last live source.
 WIDTHS = [None, 1, 2, 3, 16, 64]
 ACTS = ["empty", "hub", "all", "subset", "unsorted", "zero-length"]
-LAYOUTS = ["slimsell-8", "sell-1", "sell-1-unsorted"]
+LAYOUTS = ["slimsell-8", "sell-8", "sell-1", "sell-1-unsorted"]
 
 
 def reference_sweep(sr, C, col, val, cs, cl, f_prev, x_nd, act, act_out, profile):
@@ -55,10 +57,14 @@ def reference_sweep(sr, C, col, val, cs, cl, f_prev, x_nd, act, act_out, profile
 def layout(name):
     """A scale-10 Kronecker layout: one hub chunk far longer than the rest,
     and zero-length chunks from isolated vertices (interleaved with the
-    others when unsorted, σ = 1)."""
+    others when unsorted, σ = 1).  n == N, so the rows padding reads, N − 1
+    through SlimSell's marker and 0 through Sell-C-σ's ``col``, are real
+    vertices; C = 1 has no padding."""
     g = kronecker(10, 16, seed=3)
     if name == "slimsell-8":
         return SlimSell(g, 8, g.n)
+    if name == "sell-8":
+        return SellCSigma(g, 8, g.n)
     return SellCSigma(g, 1, 1 if name == "sell-1-unsorted" else g.n)
 
 
@@ -67,11 +73,13 @@ def wide_range(rng, shape):
     return rng.random(shape) * 10.0 ** rng.integers(0, 61, shape)
 
 
-def operands(rep, sr, shape, rng):
-    """``(val, f_prev, x0)`` in the semiring's domain; wide-range reals."""
+def operands(rep, sr, shape, rng, per_slot=True):
+    """``(val, f_prev, x0)`` in the semiring's domain; wide-range reals.
+    ``per_slot=False`` keeps the matrix's two BFS values."""
     val = rep.val_for(sr)
     if sr.name == "real":
-        val = np.where(val != 0.0, wide_range(rng, val.shape), 0.0)
+        if per_slot:
+            val = np.where(val != 0.0, wide_range(rng, val.shape), 0.0)
         return val, wide_range(rng, shape), wide_range(rng, shape)
     if sr.name == "boolean":
         return val, *(rng.integers(0, 2, (2,) + shape).astype(np.float64))
@@ -98,16 +106,26 @@ def active_set(rep, kind, rng):
     return act if kind == "unsorted" else np.sort(act)
 
 
-def sweep_both(layout_name, semiring, W, kind, banded, seed, band=None):
+def sweep_both(
+    layout_name, semiring, W, kind, banded, seed, band=None, premul=False, poison=False
+):
     """Run kernel and reference on identical inputs; both accumulators and
     both profiles.  ``band`` fixes the row band (and keeps only the active
-    chunks inside it); by default ``banded`` draws one at random."""
+    chunks inside it); by default ``banded`` draws one at random.
+
+    ``premul`` feeds the kernel what the BFS callers pass: the value pair
+    and the pre-multiplied frontier.  The reference then multiplies each
+    slot by ``val_for(sr)`` on the representation's own ``col``, which
+    reads ``f_prev[pad_row]`` on padding; ``poison`` puts NaN in that row,
+    so only a sentinel taken from it matches."""
     rep = layout(layout_name)
     sr = get_semiring(semiring)
     C = rep.C
     rng = np.random.default_rng(seed)
     shape = (rep.N,) if W is None else (rep.N, W)
-    val, f_prev, x0 = operands(rep, sr, shape, rng)
+    val, f_prev, x0 = operands(rep, sr, shape, rng, per_slot=not premul)
+    if poison:
+        f_prev[rep.pad_row] = np.nan
     act = active_set(rep, kind, rng)
     if band is not None:
         act = act[np.isin(act, band)]
@@ -125,9 +143,14 @@ def sweep_both(layout_name, semiring, W, kind, banded, seed, band=None):
     nd = (band.size, C) + shape[1:]
     got, want = x0.copy(), x0.copy()
     prof_got, prof_want = [], []
-    args = (sr, C, rep.col64, val, rep.cs, rep.cl, f_prev)
+    args = ref = (sr, C, rep.col64, val, rep.cs, rep.cl, f_prev)
+    if premul:
+        pair = edge_pad(sr)
+        fx = premultiply(sr, pair, f_prev, rep.pad_row)
+        args = (sr, C, rep.col64, pair, rep.cs, rep.cl, fx)
+        ref = (sr, C, rep.col.astype(np.int64), val, rep.cs, rep.cl, f_prev)
     sweep_band_layers(*args, got.reshape(nd), act, act_out, prof_got, row64=rep.row64)
-    reference_sweep(*args, want.reshape(nd), act, act_out, prof_want)
+    reference_sweep(*ref, want.reshape(nd), act, act_out, prof_want)
     return got, want, prof_got, prof_want
 
 
@@ -182,6 +205,39 @@ def test_one_column_runs_break_at_band_gaps(layout_name, semiring, W):
     )
     assert_bitwise(got, want)
     assert prof_got == prof_want
+
+
+@pytest.mark.parametrize("layout_name", LAYOUTS)
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+@pytest.mark.parametrize("W", WIDTHS)
+def test_premultiplied_source_matches_per_slot_values(layout_name, semiring, W):
+    # Every active set, then every chunk with the sentinel's row poisoned:
+    # folding fx with no per-slot ⊗ changes no bit.  Whole and banded
+    # outputs alternate, so each active set sees both across the widths.
+    w = WIDTHS.index(W)
+    cases = [(kind, (k + w) % 2 == 1, False) for k, kind in enumerate(ACTS)]
+    cases.append(("all", w % 2 == 0, True))
+    for seed, (kind, banded, poison) in enumerate(cases):
+        with np.errstate(invalid="ignore"):  # NaN meets ∞ or 0
+            got, want, prof_got, prof_want = sweep_both(
+                layout_name, semiring, W, kind, banded, seed, premul=True, poison=poison
+            )
+        assert_bitwise(got, want)
+        assert prof_got == prof_want
+
+
+@pytest.mark.parametrize("semiring", SEMIRINGS)
+def test_premultiply_sentinel_row(semiring):
+    # fx has one row more than f: edge ⊗ f, then pad ⊗ f[pad_row], which
+    # the −1 marker reaches by wrap-around.  N = 0 leaves it unread.
+    sr = get_semiring(semiring)
+    pair = edge_pad(sr)
+    f = np.arange(12.0).reshape(4, 3)
+    fx = premultiply(sr, pair, f, 1)
+    assert fx.shape == (5, 3)
+    assert_bitwise(fx[:4], sr.mul(sr.edge_value, f))
+    assert_bitwise(fx[-1], sr.mul(sr.pad_value, f[1]))
+    assert premultiply(sr, pair, np.empty((0, 3)), -1).shape == (1, 3)
 
 
 def test_one_column_needs_a_contiguous_accumulator():
